@@ -6,6 +6,8 @@
 //! it is the only randomness source in the workspace — property-style tests
 //! fork it per case instead of pulling in an external RNG.
 
+use std::sync::Arc;
+
 /// A deterministic xoshiro256** PRNG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
@@ -105,8 +107,17 @@ impl SimRng {
 /// A Zipf(θ) sampler over `[0, n)` using the standard inverse-CDF table
 /// construction. Zipfian popularity is how OLTP-style workloads (pgbench,
 /// SPECjbb warehouses) concentrate heat on a few macro pages.
+///
+/// The tables are immutable once built and live behind one `Arc`, so
+/// `clone` is O(1): patterns, streams and trace iterators cloned from one
+/// sampler share its tables instead of copying megabytes of CDF.
 #[derive(Debug, Clone)]
 pub struct Zipf {
+    table: Arc<ZipfTable>,
+}
+
+#[derive(Debug)]
+struct ZipfTable {
     cdf: Vec<f64>,
     /// Guide table over the unit interval: `guide[j]` is the first index
     /// whose CDF value exceeds `j / G`, where `G = guide.len() - 1` is a
@@ -115,6 +126,23 @@ pub struct Zipf {
     /// over that handful of entries instead of the whole table, returning
     /// exactly the same rank.
     guide: Vec<u32>,
+}
+
+/// `guide[j]` = the first index with `cdf > j / g`, for `j` in `0..=g`,
+/// built in one merge pass over the sorted CDF: the bounds `j / g` rise
+/// with `j`, so each answer is found by walking on from the previous one
+/// — O(n + g) instead of `g + 1` binary searches.
+fn build_guide(cdf: &[f64], g: usize) -> Vec<u32> {
+    let mut guide = Vec::with_capacity(g + 1);
+    let mut i = 0;
+    for j in 0..=g {
+        let bound = j as f64 / g as f64;
+        while i < cdf.len() && cdf[i] <= bound {
+            i += 1;
+        }
+        guide.push(i as u32);
+    }
+    guide
 }
 
 impl Zipf {
@@ -137,35 +165,46 @@ impl Zipf {
         // both exact), so the narrowed search provably brackets the
         // full-table answer.
         let g = n.next_power_of_two().clamp(64, 1 << 16);
-        let guide = (0..=g).map(|j| cdf.partition_point(|&c| c <= j as f64 / g as f64) as u32);
-        Self { guide: guide.collect(), cdf }
+        let guide = build_guide(&cdf, g);
+        Self { table: Arc::new(ZipfTable { cdf, guide }) }
     }
 
     /// Number of items in the domain.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.table.cdf.len()
     }
 
     /// True if the domain is a single item.
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.table.cdf.is_empty()
+    }
+
+    /// True if `self` and `other` draw from the same table allocation.
+    pub fn shares_table(&self, other: &Zipf) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
+    }
+
+    /// Number of samplers holding this sampler's table.
+    pub fn table_holders(&self) -> usize {
+        Arc::strong_count(&self.table)
     }
 
     /// Draw one item. Rank 0 is the most popular.
     #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.unit_f64();
-        let g = self.guide.len() - 1;
+        let ZipfTable { cdf, guide } = &*self.table;
+        let g = guide.len() - 1;
         // u < 1.0, and scaling by the power-of-two G is exact, so
         // j < G and u lies in [j/G, (j+1)/G).
         let j = (u * g as f64) as usize;
-        let lo = self.guide[j] as usize;
-        let hi = self.guide[j + 1] as usize;
+        let lo = guide[j] as usize;
+        let hi = guide[j + 1] as usize;
         // partition_point returns the first index with cdf > u; entries
         // below `lo` are all <= j/G <= u and entries from `hi` on are all
         // > (j+1)/G > u, so the narrowed search equals the full search.
-        let i = lo + self.cdf[lo..hi].partition_point(|&c| c <= u);
-        i.min(self.cdf.len() - 1)
+        let i = lo + cdf[lo..hi].partition_point(|&c| c <= u);
+        i.min(cdf.len() - 1)
     }
 }
 
@@ -266,6 +305,30 @@ mod tests {
         }
         // With theta=1.2 over 1000 items, rank 0 should take well over 10%.
         assert!(rank0 > n / 10, "rank0 draws: {rank0}");
+    }
+
+    #[test]
+    fn linear_guide_matches_the_partition_point_definition() {
+        for n in [1usize, 63, 64, 65, 1000, 1 << 18] {
+            for theta in [0.0, 0.45, 0.99, 1.3] {
+                let z = Zipf::new(n, theta);
+                let ZipfTable { cdf, guide } = &*z.table;
+                let g = guide.len() - 1;
+                let want: Vec<u32> = (0..=g)
+                    .map(|j| cdf.partition_point(|&c| c <= j as f64 / g as f64) as u32)
+                    .collect();
+                assert_eq!(*guide, want, "n {n} theta {theta}");
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let z = Zipf::new(1000, 0.99);
+        let c = z.clone();
+        assert!(c.shares_table(&z));
+        assert_eq!(z.table_holders(), 2);
+        assert!(!Zipf::new(1000, 0.99).shares_table(&z));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! capacity ratio is scaled identically by the experiment drivers, so the
 //! shapes are preserved.
 
-use crate::pattern::Pattern;
+use crate::pattern::{Pattern, ZipfTables};
 use crate::trace::{Stream, Workload};
 use hmm_sim_base::config::SimScale;
 
@@ -188,7 +188,10 @@ pub fn footprint_bytes(id: WorkloadId, scale: &SimScale) -> u64 {
 /// [`Workload::iter`] with a seed to obtain records.
 pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
     let fp = footprint_bytes(id, scale);
-    let w = match id {
+    // One rank table per distinct (rank count, θ): the per-CPU streams of
+    // a workload share their Zipf tables instead of building copies.
+    let mut z = ZipfTables::default();
+    let mut w = match id {
         WorkloadId::Bt | WorkloadId::Sp | WorkloadId::Lu => {
             // Structured-grid solvers: repeated array sweeps with a small,
             // hot working set of solver coefficients (the Fig. 4 knee sits
@@ -199,7 +202,7 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                     cpu,
                     mix: vec![
                         (0.55, Pattern::sweep(0, fp, 64, 0.3)),
-                        (0.45, Pattern::zipf_pages(hs, hl, 1.05, 0.3)),
+                        (0.45, z.zipf_pages(hs, hl, 1.05, 0.3)),
                     ],
                 })
                 .collect();
@@ -225,7 +228,7 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                     mix: vec![
                         (0.5, Pattern::chase(cs, cl, 0.1)),
                         (0.3, Pattern::sweep(0, fp, 64, 0.2)),
-                        (0.2, Pattern::zipf_pages(vs, vl, 1.0, 0.4)),
+                        (0.2, z.zipf_pages(vs, vl, 1.0, 0.4)),
                     ],
                 })
                 .collect();
@@ -245,7 +248,7 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                     mix: vec![
                         (0.10, Pattern::uniform(0, fp, 0.4)),
                         (0.35, Pattern::windowed_sweep(0, fp, window, 8, 64, 0.4)),
-                        (0.55, Pattern::zipf_pages(hs, hl, 1.1, 0.4)),
+                        (0.55, z.zipf_pages(hs, hl, 1.1, 0.4)),
                     ],
                 })
                 .collect();
@@ -259,7 +262,7 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                 .map(|cpu| Stream {
                     cpu,
                     mix: vec![
-                        (0.9, Pattern::zipf_pages(hs, hl, 1.0, 0.3)),
+                        (0.9, z.zipf_pages(hs, hl, 1.0, 0.3)),
                         (0.1, Pattern::sweep(0, fp, 64, 0.2)),
                     ],
                 })
@@ -293,8 +296,8 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                     cpu,
                     mix: vec![
                         (0.50, Pattern::windowed_sweep(0, fp, window, 6, 64, 0.4)),
-                        (0.40, Pattern::zipf_pages(ws, wl, 0.9, 0.3)),
-                        (0.10, Pattern::zipf_pages(ts, tl, 1.0, 0.1)),
+                        (0.40, z.zipf_pages(ws, wl, 0.9, 0.3)),
+                        (0.10, z.zipf_pages(ts, tl, 1.0, 0.1)),
                     ],
                 })
                 .collect();
@@ -335,16 +338,8 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                         // coarse-grid region.
                         (0.25, Pattern::sweep(l0.0, l0.1, 64, 0.35)),
                         (0.20, Pattern::v_cycle(vec![l1, l2, l3], 64, 0.35)),
-                        (
-                            0.40,
-                            Pattern::zipf_pages(
-                                l1.0,
-                                (l1.1 + l2.1 + l3.1).min(fp - l1.0),
-                                0.45,
-                                0.35,
-                            ),
-                        ),
-                        (0.15, Pattern::zipf_pages(hs, hl, 1.0, 0.3)),
+                        (0.40, z.zipf_pages(l1.0, (l1.1 + l2.1 + l3.1).min(fp - l1.0), 0.45, 0.35)),
+                        (0.15, z.zipf_pages(hs, hl, 1.0, 0.3)),
                     ],
                 })
                 .collect();
@@ -358,7 +353,7 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                     cpu,
                     mix: vec![
                         (0.4, Pattern::uniform(0, fp, 0.3)),
-                        (0.6, Pattern::zipf_pages(hs, hl, 0.95, 0.3)),
+                        (0.6, z.zipf_pages(hs, hl, 0.95, 0.3)),
                     ],
                 })
                 .collect();
@@ -377,22 +372,22 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                 Stream {
                     cpu: 0,
                     mix: vec![
-                        (0.95, Pattern::zipf_pages(gcc.0, gcc.1, 1.3, 0.3)),
+                        (0.95, z.zipf_pages(gcc.0, gcc.1, 1.3, 0.3)),
                         (0.05, Pattern::sweep(gcc.0, gcc.1, 64, 0.2)),
                     ],
                 },
                 Stream {
                     cpu: 1,
                     mix: vec![
-                        (0.95, Pattern::zipf_pages(mcf.0, mcf.1, 1.4, 0.2)),
+                        (0.95, z.zipf_pages(mcf.0, mcf.1, 1.4, 0.2)),
                         (0.05, Pattern::uniform(mcf.0, mcf.1, 0.2)),
                     ],
                 },
-                Stream { cpu: 2, mix: vec![(1.0, Pattern::zipf_pages(perl.0, perl.1, 1.2, 0.35))] },
+                Stream { cpu: 2, mix: vec![(1.0, z.zipf_pages(perl.0, perl.1, 1.2, 0.35))] },
                 Stream {
                     cpu: 3,
                     mix: vec![
-                        (0.8, Pattern::zipf_pages(zeus.0, zeus.1, 1.25, 0.35)),
+                        (0.8, z.zipf_pages(zeus.0, zeus.1, 1.25, 0.35)),
                         (0.2, Pattern::sweep(zeus.0, zeus.1 / 8, 64, 0.35)),
                     ],
                 },
@@ -408,7 +403,7 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                 .map(|cpu| Stream {
                     cpu,
                     mix: vec![
-                        (0.87, Pattern::zipf_pages(data.0, data.1, 1.3, 0.35)),
+                        (0.87, z.zipf_pages(data.0, data.1, 1.3, 0.35)),
                         (0.10, Pattern::sweep(wal.0, wal.1, 64, 1.0)),
                         (0.03, Pattern::uniform(data.0, data.1, 0.1)),
                     ],
@@ -426,7 +421,7 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                     cpu,
                     mix: vec![
                         (0.25, Pattern::sweep(docs.0, docs.1, 64, 0.05)),
-                        (0.68, Pattern::zipf_pages(index.0, index.1, 1.2, 0.5)),
+                        (0.68, z.zipf_pages(index.0, index.1, 1.2, 0.5)),
                         (0.07, Pattern::uniform(docs.0, docs.1, 0.1)),
                     ],
                 })
@@ -442,7 +437,7 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
                     Stream {
                         cpu,
                         mix: vec![
-                            (0.88, Pattern::zipf_pages(region.0, region.1, 1.0, 0.4)),
+                            (0.88, z.zipf_pages(region.0, region.1, 1.0, 0.4)),
                             (0.12, Pattern::uniform(region.0, region.1, 0.3)),
                         ],
                     }
@@ -454,13 +449,11 @@ pub fn workload(id: WorkloadId, scale: &SimScale) -> Workload {
     // Parallel workers start their sweeps at staggered positions, as
     // OpenMP-partitioned codes do; this also makes finite measurement
     // windows representative of the long-run address distribution.
-    let mut w = w;
     let n = w.streams.len().max(1) as f64;
     for (i, stream) in w.streams.iter_mut().enumerate() {
         let frac = i as f64 / n;
         for (_, pat) in &mut stream.mix {
-            let staggered = pat.clone().with_phase(frac);
-            *pat = staggered;
+            pat.set_phase(frac);
         }
     }
     debug_assert!(w.validate().is_ok(), "{:?}: {:?}", id, w.validate());
@@ -535,6 +528,31 @@ mod tests {
                     "{id:?} at /{div}"
                 );
             }
+        }
+    }
+
+    /// Pgbench's four streams, and SPECjbb's four equal-size warehouse
+    /// regions, draw from one table, and `iter` shares it too.
+    #[test]
+    fn per_cpu_streams_share_one_zipf_table() {
+        for id in [WorkloadId::Pgbench, WorkloadId::SpecJbb] {
+            let w = workload(id, &SimScale { divisor: 1 });
+            let zipfs: Vec<_> = w
+                .streams
+                .iter()
+                .flat_map(|s| &s.mix)
+                .filter_map(|(_, p)| match p {
+                    Pattern::ZipfPages { zipf, .. } => Some(zipf),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(zipfs.len(), 4, "{id:?}");
+            assert!(zipfs.iter().all(|z| z.shares_table(zipfs[0])), "{id:?}");
+            assert_eq!(zipfs[0].table_holders(), 4, "{id:?}: no other holder");
+            let it = w.iter(1);
+            assert_eq!(zipfs[0].table_holders(), 8, "{id:?}: iter shares, never copies");
+            drop(it);
+            assert_eq!(zipfs[0].table_holders(), 4, "{id:?}");
         }
     }
 

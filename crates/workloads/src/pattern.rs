@@ -2,11 +2,13 @@
 //!
 //! A [`Pattern`] produces byte offsets (plus a read/write flag) within a
 //! region of the workload's footprint. Patterns carry their own cursor
-//! state, so cloning a pattern clones its position. All randomness comes
+//! state, so cloning a pattern clones its position (its Zipf rank table,
+//! immutable, is shared rather than copied). All randomness comes
 //! from the caller-supplied [`SimRng`], keeping traces reproducible.
 
 use hmm_sim_base::rng::{SimRng, Zipf};
 use hmm_sim_base::snap::{SnapReader, SnapResult, SnapWriter};
+use hmm_sim_base::FxHashMap;
 
 /// Application-level page used by the locality patterns (independent of
 /// the migration macro-page size).
@@ -143,6 +145,32 @@ fn scatter(rank: u64, domain: u64) -> u64 {
     scattered * g + within
 }
 
+/// The Zipf rank tables one workload build has made, keyed by rank count
+/// and skew. Patterns over equal-size regions with equal θ — pgbench's
+/// four streams, SPECjbb's four warehouses — then share one immutable
+/// table instead of each building its own. The map lives as long as the
+/// build that owns it, so each build still makes its tables once.
+#[derive(Debug, Default)]
+pub struct ZipfTables(FxHashMap<(usize, u64), Zipf>);
+
+impl ZipfTables {
+    /// Zipf-popular pages with skew `theta` over a region, drawing from
+    /// this build's table for the region's rank count and `theta`.
+    pub fn zipf_pages(&mut self, start: u64, len: u64, theta: f64, write_ratio: f64) -> Pattern {
+        assert!(len >= APP_PAGE_BYTES);
+        let pages = pow2_floor(len / APP_PAGE_BYTES);
+        // Cap the rank table so huge footprints stay cheap to construct;
+        // past ~256k ranks the tail is effectively uniform anyway.
+        let ranks = pages.min(1 << 18) as usize;
+        let zipf = self
+            .0
+            .entry((ranks, theta.to_bits()))
+            .or_insert_with(|| Zipf::new(ranks, theta))
+            .clone();
+        Pattern::ZipfPages { start, len, write_ratio, zipf, page_domain: pages }
+    }
+}
+
 impl Pattern {
     /// A wrapping sequential sweep.
     pub fn sweep(start: u64, len: u64, stride: u64, write_ratio: f64) -> Self {
@@ -150,20 +178,10 @@ impl Pattern {
         Pattern::Sweep { start, len, stride, write_ratio, pos: 0 }
     }
 
-    /// Zipf-popular pages with skew `theta` over a region.
+    /// Zipf-popular pages with skew `theta` over a region, with a rank
+    /// table of its own; [`ZipfTables::zipf_pages`] shares tables.
     pub fn zipf_pages(start: u64, len: u64, theta: f64, write_ratio: f64) -> Self {
-        assert!(len >= APP_PAGE_BYTES);
-        let pages = pow2_floor(len / APP_PAGE_BYTES);
-        // Cap the rank table so huge footprints stay cheap to construct;
-        // past ~256k ranks the tail is effectively uniform anyway.
-        let ranks = pages.min(1 << 18) as usize;
-        Pattern::ZipfPages {
-            start,
-            len,
-            write_ratio,
-            zipf: Zipf::new(ranks, theta),
-            page_domain: pages,
-        }
+        ZipfTables::default().zipf_pages(start, len, theta, write_ratio)
     }
 
     /// Uniform random accesses.
@@ -213,9 +231,9 @@ impl Pattern {
     /// parallel workers (or repeated runs) start from different positions.
     /// OpenMP-style codes genuinely partition their sweeps this way.
     /// No-op for stateless patterns.
-    pub fn with_phase(mut self, frac: f64) -> Self {
+    pub fn set_phase(&mut self, frac: f64) {
         let frac = frac.rem_euclid(1.0);
-        match &mut self {
+        match self {
             Pattern::Sweep { len, stride, pos, .. } => {
                 let steps = *len / *stride;
                 *pos = ((steps as f64 * frac) as u64 % steps.max(1)) * *stride;
@@ -233,7 +251,6 @@ impl Pattern {
             }
             Pattern::ZipfPages { .. } | Pattern::Uniform { .. } => {}
         }
-        self
     }
 
     /// Produce the next `(byte offset, is_write)` pair.

@@ -22,7 +22,8 @@
 //!   existing snapshots stay byte-identical.
 
 use crate::trace::{TraceIter, TraceRecord};
-use crate::trace_io::BinaryTraceReader;
+use crate::trace_io::{BinaryTraceReader, MAGIC};
+use hmm_sim_base::addr::PhysAddr;
 use hmm_sim_base::snap::{snap_hash, SnapReader, SnapResult, SnapWriter};
 use hmm_sim_base::FxHashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -72,8 +73,43 @@ impl TraceSummary {
 pub struct TraceData {
     /// Behaviour-relevant facts (identity, counts, span).
     pub summary: TraceSummary,
+    /// The decoded records, in file order, 16 bytes each.
+    records: Vec<PackedRecord>,
+}
+
+impl TraceData {
     /// The decoded records, in file order.
-    pub records: Vec<TraceRecord>,
+    pub fn records(&self) -> impl ExactSizeIterator<Item = TraceRecord> + '_ {
+        self.records.iter().map(|p| p.unpack())
+    }
+}
+
+/// One decoded record in 16 bytes instead of a `TraceRecord`'s 24: the
+/// tick, and the line address above the `HMT1` flags byte
+/// (`line << 8 | write << 7 | cpu`). Lossless, because decoding refuses
+/// lines above [`MAX_LINE`](crate::trace_io::MAX_LINE) and a decoded
+/// address is always `line << 6`.
+#[derive(Debug, Clone, Copy)]
+struct PackedRecord {
+    tick: u64,
+    line_flags: u64,
+}
+
+impl PackedRecord {
+    fn pack(r: &TraceRecord) -> Self {
+        let flags = u64::from(r.cpu & 0x7f) | if r.is_write { 0x80 } else { 0 };
+        Self { tick: r.tick, line_flags: (r.addr.0 >> 6) << 8 | flags }
+    }
+
+    #[inline]
+    fn unpack(self) -> TraceRecord {
+        TraceRecord {
+            tick: self.tick,
+            cpu: (self.line_flags & 0x7f) as u8,
+            addr: PhysAddr((self.line_flags >> 8) << 6),
+            is_write: self.line_flags & 0x80 != 0,
+        }
+    }
 }
 
 /// Parse a 16-hex-digit trace id back to its hash.
@@ -86,30 +122,52 @@ pub fn parse_trace_id(s: &str) -> Option<u64> {
 
 /// Decode and validate raw `HMT1` bytes. Errors carry the underlying
 /// format diagnostic ("not an HMT1 trace", "truncated varint", ...).
+///
+/// The records are counted first, so the one allocation is made at its
+/// final size — never more than `bytes.len() / 3` records, whatever the
+/// input — instead of growing by doubling.
 pub fn decode(bytes: &[u8]) -> Result<TraceData, String> {
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(count_records(bytes));
+    let (mut max_line, mut reads) = (0u64, 0u64);
     for rec in BinaryTraceReader::new(bytes) {
-        records.push(rec.map_err(|e| e.to_string())?);
+        let rec = rec.map_err(|e| e.to_string())?;
+        max_line = max_line.max(rec.addr.0 >> 6);
+        reads += u64::from(!rec.is_write);
+        records.push(PackedRecord::pack(&rec));
     }
-    if records.is_empty() {
+    let Some(last) = records.last() else {
         return Err("trace contains no records".into());
-    }
-    let mut max_line = 0u64;
-    let mut reads = 0u64;
-    for r in &records {
-        max_line = max_line.max(r.addr.0 >> 6);
-        if !r.is_write {
-            reads += 1;
-        }
-    }
+    };
     let summary = TraceSummary {
         hash: snap_hash(bytes),
         records: records.len() as u64,
-        last_tick: records.last().map_or(0, |r| r.tick),
+        last_tick: last.tick,
         max_line,
         reads,
     };
     Ok(TraceData { summary, records })
+}
+
+/// The records in `HMT1` bytes, counted from their framing without
+/// decoding them: each record is two varints and a flags byte. Exact for
+/// a well-formed trace; for any input at most `bytes.len() / 3`, since a
+/// counted record spans at least three bytes.
+fn count_records(bytes: &[u8]) -> usize {
+    let body = bytes.get(MAGIC.len()..).unwrap_or_default();
+    let (mut records, mut at) = (0, 0);
+    loop {
+        for _varint in 0..2 {
+            while body.get(at).is_some_and(|b| b & 0x80 != 0) {
+                at += 1;
+            }
+            at += 1;
+        }
+        at += 1; // flags
+        if at > body.len() {
+            return records;
+        }
+        records += 1;
+    }
 }
 
 fn registry() -> &'static Mutex<FxHashMap<u64, Arc<TraceData>>> {
@@ -118,9 +176,11 @@ fn registry() -> &'static Mutex<FxHashMap<u64, Arc<TraceData>>> {
 }
 
 /// Make a decoded trace available for replay by hash. Idempotent: the
-/// content hash is the key, so re-registering the same trace is a no-op.
+/// content hash is the key, so re-registering the same trace is a no-op
+/// — the copy already registered, which running replays may hold, stays,
+/// and `data` is dropped rather than kept resident beside it.
 pub fn register(data: Arc<TraceData>) {
-    registry().lock().unwrap().insert(data.summary.hash, data);
+    registry().lock().unwrap().entry(data.summary.hash).or_insert(data);
 }
 
 /// Look up a registered trace by content hash.
@@ -171,7 +231,7 @@ impl ReplayIter {
                 self.pos = 0;
                 self.tick_base += self.data.summary.last_tick + 1;
             }
-            let mut rec = recs[self.pos];
+            let mut rec = recs[self.pos].unpack();
             rec.tick += self.tick_base;
             out.push(rec);
             self.pos += 1;
@@ -249,7 +309,7 @@ impl TraceSource {
 mod tests {
     use super::*;
     use crate::catalog::{workload, WorkloadId};
-    use crate::trace_io::write_binary;
+    use crate::trace_io::{write_binary, MAX_LINE};
     use hmm_sim_base::config::SimScale;
 
     fn sample_bytes(n: usize, seed: u64) -> Vec<u8> {
@@ -265,13 +325,37 @@ mod tests {
         let data = decode(&bytes).unwrap();
         assert_eq!(data.summary.hash, snap_hash(&bytes));
         assert_eq!(data.summary.records, 2_000);
-        assert_eq!(data.summary.last_tick, data.records.last().unwrap().tick);
-        let max = data.records.iter().map(|r| r.addr.0 >> 6).max().unwrap();
+        assert_eq!(data.summary.last_tick, data.records().last().unwrap().tick);
+        let max = data.records().map(|r| r.addr.0 >> 6).max().unwrap();
         assert_eq!(data.summary.max_line, max);
-        let reads = data.records.iter().filter(|r| !r.is_write).count() as u64;
+        let reads = data.records().filter(|r| !r.is_write).count() as u64;
         assert_eq!(data.summary.reads, reads);
         assert!(data.summary.footprint_bytes() > 0);
         assert!((0.0..=1.0).contains(&data.summary.read_fraction()));
+    }
+
+    /// Every field of `write_binary` output survives the 16-byte packed
+    /// form, at the edges of each field's range.
+    #[test]
+    fn decode_round_trips_every_field() {
+        let mut recs = workload(WorkloadId::Pgbench, &SimScale { divisor: 256 }).records(17, 500);
+        let mut tick = recs.last().unwrap().tick;
+        for (cpu, line, is_write) in
+            [(0, 0, false), (127, MAX_LINE, true), (64, MAX_LINE >> 1, false), (1, 1, true)]
+        {
+            tick += 1 << 40;
+            recs.push(TraceRecord { tick, cpu, addr: PhysAddr(line << 6 | 63), is_write });
+        }
+        let mut bytes = Vec::new();
+        write_binary(&mut bytes, recs.iter().copied()).unwrap();
+        let data = decode(&bytes).unwrap();
+        assert_eq!(data.records().len(), recs.len());
+        for (want, got) in recs.iter().zip(data.records()) {
+            // The format stores line addresses; everything else is exact.
+            let line_addr = PhysAddr(want.addr.0 & !63);
+            assert_eq!(got, TraceRecord { addr: line_addr, ..*want });
+        }
+        assert_eq!(data.summary.max_line, MAX_LINE);
     }
 
     #[test]
@@ -281,6 +365,94 @@ mod tests {
         let mut bytes = sample_bytes(50, 1);
         bytes.truncate(bytes.len() - 1);
         assert!(decode(&bytes).is_err());
+    }
+
+    fn varint(mut v: u64, out: &mut Vec<u8>) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    /// One hand-encoded record after the magic.
+    fn crafted(delta: u64, line: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        varint(delta, &mut bytes);
+        varint(line, &mut bytes);
+        bytes.push(0);
+        bytes
+    }
+
+    #[test]
+    fn decode_rejects_lines_beyond_the_packed_form() {
+        assert!(decode(&crafted(0, MAX_LINE)).is_ok());
+        for line in [MAX_LINE + 1, 1 << 58, u64::MAX] {
+            let err = decode(&crafted(0, line)).unwrap_err();
+            assert!(err.contains("56-bit"), "line {line:#x}: {err}");
+        }
+        // Ticks that would wrap are refused too, not wrapped (or, in a
+        // debug build, panicked on).
+        let mut bytes = crafted(u64::MAX, 1);
+        bytes.extend_from_slice(&crafted(1, 1)[MAGIC.len()..]);
+        assert!(decode(&bytes).unwrap_err().contains("tick"));
+    }
+
+    /// A trace cut at any byte either fails with an error or — cut
+    /// exactly between records, where `HMT1` has no end marker — decodes
+    /// to exactly the records before the cut. It never panics.
+    #[test]
+    fn every_truncation_errs_or_decodes_a_whole_prefix() {
+        let recs = workload(WorkloadId::Pgbench, &SimScale { divisor: 256 }).records(23, 60);
+        let mut bytes = Vec::new();
+        write_binary(&mut bytes, recs.iter().copied()).unwrap();
+        let full: Vec<TraceRecord> = decode(&bytes).unwrap().records().collect();
+        let mut boundaries = vec![MAGIC.len()];
+        for n in 1..=recs.len() {
+            let mut prefix = Vec::new();
+            write_binary(&mut prefix, recs[..n].iter().copied()).unwrap();
+            boundaries.push(prefix.len());
+        }
+        for cut in 0..bytes.len() {
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(n) if n > 0 => {
+                    let data = decode(&bytes[..cut]).unwrap();
+                    assert!(data.records().eq(full[..n].iter().copied()), "cut {cut}");
+                }
+                _ => assert!(decode(&bytes[..cut]).is_err(), "cut {cut} decoded"),
+            }
+        }
+    }
+
+    /// The count pass sizes the one allocation; on any input it stays
+    /// within a third of the byte count.
+    #[test]
+    fn record_count_is_exact_and_bounded_by_a_third_of_the_bytes() {
+        let bytes = sample_bytes(1_000, 29);
+        assert_eq!(count_records(&bytes), 1_000);
+        assert!(decode(&bytes).unwrap().records.capacity() <= bytes.len() / 3);
+        let mut rng = hmm_sim_base::rng::SimRng::new(31);
+        for len in 0..600 {
+            let mut hostile = MAGIC.to_vec();
+            hostile.extend((0..len).map(|_| rng.next_u64() as u8));
+            assert!(count_records(&hostile) <= hostile.len() / 3, "len {len}");
+            let _ = decode(&hostile);
+        }
+        for fill in [0x00, 0x01, 0x7f, 0x80, 0xff] {
+            let hostile: Vec<u8> = MAGIC.iter().copied().chain([fill; 999]).collect();
+            assert!(count_records(&hostile) <= hostile.len() / 3, "fill {fill:#x}");
+        }
+    }
+
+    #[test]
+    fn register_keeps_the_first_copy() {
+        let bytes = sample_bytes(80, 37);
+        let first = Arc::new(decode(&bytes).unwrap());
+        let hash = first.summary.hash;
+        register(first.clone());
+        register(Arc::new(decode(&bytes).unwrap()));
+        assert!(Arc::ptr_eq(&lookup(hash).unwrap(), &first));
+        unregister(hash);
     }
 
     #[test]

@@ -23,6 +23,16 @@ use std::io::{self, BufRead, Read, Write};
 /// Magic bytes of the binary format ("HMT1").
 pub const MAGIC: [u8; 4] = *b"HMT1";
 
+/// Largest line address (`addr >> 6`) the binary format carries: 56
+/// bits, so a line packs above its flags byte into one `u64`
+/// (`line << 8 | flags`, the replay registry's record form) and
+/// `line << 6` is always a valid byte address.
+pub const MAX_LINE: u64 = (1 << 56) - 1;
+
+fn line_out_of_range(kind: io::ErrorKind, line: u64) -> io::Error {
+    io::Error::new(kind, format!("line address {line:#x} exceeds the 56-bit maximum"))
+}
+
 fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -75,8 +85,12 @@ pub fn write_binary<W: Write>(
             io::Error::new(io::ErrorKind::InvalidInput, "ticks must be non-decreasing")
         })?;
         last_tick = rec.tick;
+        let line = rec.addr.0 >> 6; // line address: 6 fewer bits
+        if line > MAX_LINE {
+            return Err(line_out_of_range(io::ErrorKind::InvalidInput, line));
+        }
         write_varint(w, delta)?;
-        write_varint(w, rec.addr.0 >> 6)?; // line address: 6 fewer bits
+        write_varint(w, line)?;
         let flags = (rec.cpu & 0x7f) | if rec.is_write { 0x80 } else { 0 };
         w.write_all(&[flags])?;
         count += 1;
@@ -117,9 +131,15 @@ impl<R: Read> BinaryTraceReader<R> {
         };
         let line = read_varint(&mut self.inner)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated record"))?;
+        if line > MAX_LINE {
+            return Err(line_out_of_range(io::ErrorKind::InvalidData, line));
+        }
         let mut flags = [0u8; 1];
         self.inner.read_exact(&mut flags)?;
-        self.tick += delta;
+        self.tick = self
+            .tick
+            .checked_add(delta)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "tick overflows 64 bits"))?;
         Ok(Some(TraceRecord {
             tick: self.tick,
             cpu: flags[0] & 0x7f,
