@@ -101,7 +101,8 @@ fn resolve_trace(spec: &str, dir: Option<&str>) -> TraceRef {
         let Some(dir) = dir else {
             fail("--trace-in with a trace id requires --trace-dir <registry dir>")
         };
-        let (registry, _restored) = hmm_ingest::TraceRegistry::open(Path::new(dir))
+        let metrics = hmm_serve::ServerMetrics::default();
+        let (registry, _restored) = hmm_serve::TraceRegistry::open(Path::new(dir), &metrics)
             .unwrap_or_else(|e| fail(&format!("cannot open trace registry {dir}: {e}")));
         let summary = registry
             .get(hash)

@@ -1559,10 +1559,12 @@ impl<S: TelemetrySink + Clone + Send> HeteroController<S> {
         out.append(&mut self.completed);
     }
 
-    /// Endurance/wear counters of the off-package region (meaningful for
-    /// write-limited backends such as the PCM profile).
-    pub fn off_region_wear(&self) -> hmm_dram::WearStats {
-        self.off_region.wear()
+    /// Endurance counters of the off-package region when its media is
+    /// non-volatile (a profile without refresh, `t_refi == 0`, such as
+    /// [`DeviceProfile::pcm`]); `None` for DRAM, which has no endurance
+    /// limit.
+    pub fn wear(&self) -> Option<hmm_dram::WearStats> {
+        (self.cfg.off_profile.timing.t_refi == 0).then(|| self.off_region.wear())
     }
 }
 

@@ -44,8 +44,7 @@ pub use migrate::{MigrationDesign, MigrationEngine, SwapStats};
 pub use monitor::{MultiQueueMru, SlotClock};
 pub use overhead::{hardware_bits, HardwareOverhead, OS_ASSIST_THRESHOLD_BYTES};
 pub use scheme::{
-    build_scheme, validate_scheme, L4CacheScheme, MigrationPolicy, PcmScheme, PlacementScheme,
-    SchemeId,
+    build_scheme, validate_scheme, L4CacheScheme, MigrationPolicy, PlacementScheme, SchemeId,
 };
 pub use table::{MachinePage, RowState, TranslationTable};
 pub use tcache::TranslationCache;

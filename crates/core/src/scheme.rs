@@ -14,10 +14,11 @@
 //! * [`SchemeId::L4Cache`] — the on-package array used as a tags-in-DRAM
 //!   15-way set-associative cache of off-package memory (the η comparison
 //!   of Section I), built on `hmm-cache`'s machinery.
-//! * [`SchemeId::Pcm`] — the hetero controller with the off-package DIMMs
-//!   replaced by phase-change memory: asymmetric read/write timing, no
+//! * [`SchemeId::Pcm`] — not a scheme of its own but a media profile: the
+//!   hetero controller with the off-package DIMMs replaced by phase-change
+//!   memory ([`DeviceProfile::pcm`]): asymmetric read/write timing, no
 //!   refresh, and per-bank endurance counters surfaced through
-//!   [`PlacementScheme::wear`].
+//!   [`PlacementScheme::wear`] because the profile is non-volatile.
 //!
 //! Orthogonally, [`MigrationPolicy`] selects the swap-trigger rule the
 //! migrating schemes apply at epoch boundaries: the paper's
@@ -213,80 +214,16 @@ impl<S: TelemetrySink + Clone + Send> PlacementScheme for HeteroController<S> {
         HeteroController::region_stats(self)
     }
 
+    fn wear(&self) -> Option<WearStats> {
+        HeteroController::wear(self)
+    }
+
     fn save_state(&self, w: &mut SnapWriter) {
         HeteroController::save_state(self, w)
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
         HeteroController::load_state(self, r)
-    }
-}
-
-/// The hetero controller over off-package PCM: identical placement and
-/// migration machinery, different off-package media. A newtype (rather
-/// than a config knob on the hetero scheme) so the endurance surface only
-/// exists where it is meaningful.
-pub struct PcmScheme<S: TelemetrySink = NullSink>(HeteroController<S>);
-
-impl<S: TelemetrySink + Clone + Send> PcmScheme<S> {
-    /// Build a PCM-backed controller. The caller's `off_profile` is
-    /// overridden with [`DeviceProfile::pcm`].
-    pub fn with_sink(mut cfg: ControllerConfig, sink: S) -> Self {
-        cfg.off_profile = DeviceProfile::pcm();
-        Self(HeteroController::with_sink(cfg, sink))
-    }
-
-    /// The wrapped controller (tests and inspection).
-    pub fn controller(&self) -> &HeteroController<S> {
-        &self.0
-    }
-
-    /// Select the swap-trigger rule (mirrors
-    /// [`HeteroController::set_migration_policy`]).
-    pub fn set_migration_policy(&mut self, policy: MigrationPolicy) {
-        self.0.set_migration_policy(policy);
-    }
-}
-
-impl<S: TelemetrySink + Clone + Send> PlacementScheme for PcmScheme<S> {
-    fn access(&mut self, now: Cycle, addr: PhysAddr, is_write: bool) -> u64 {
-        self.0.access(now, addr, is_write)
-    }
-
-    fn advance(&mut self, now: Cycle) {
-        self.0.advance(now)
-    }
-
-    fn flush(&mut self) {
-        self.0.flush()
-    }
-
-    fn drain_completed_into(&mut self, out: &mut Vec<DemandCompletion>) {
-        self.0.drain_completed_into(out)
-    }
-
-    fn stats(&self) -> ControllerStats {
-        self.0.stats()
-    }
-
-    fn swap_stats(&self) -> Option<SwapStats> {
-        self.0.swap_stats()
-    }
-
-    fn region_stats(&self) -> (RegionStats, RegionStats) {
-        self.0.region_stats()
-    }
-
-    fn wear(&self) -> Option<WearStats> {
-        Some(self.0.off_region_wear())
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.0.save_state(w)
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
-        self.0.load_state(r)
     }
 }
 
@@ -652,28 +589,25 @@ impl<S: TelemetrySink + Clone + Send> PlacementScheme for L4CacheScheme<S> {
 }
 
 /// Construct the scheme selected by `(scheme, migration)` over `cfg`.
-/// `cfg` carries the shared machine/mode/policy/fault configuration; the
-/// PCM scheme overrides `off_profile` itself. Combination validity is the
-/// caller's job ([`validate_scheme`]).
+/// `cfg` carries the shared machine/mode/policy/fault configuration;
+/// [`SchemeId::Pcm`] is the hetero controller with `off_profile`
+/// overridden here by [`DeviceProfile::pcm`], whatever the caller passed.
+/// Combination validity is the caller's job ([`validate_scheme`]).
 pub fn build_scheme<S: TelemetrySink + Clone + Send + 'static>(
     scheme: SchemeId,
-    cfg: ControllerConfig,
+    mut cfg: ControllerConfig,
     migration: MigrationPolicy,
     sink: S,
 ) -> Box<dyn PlacementScheme> {
-    match scheme {
-        SchemeId::Hetero => {
-            let mut c = HeteroController::with_sink(cfg, sink);
-            c.set_migration_policy(migration);
-            Box::new(c)
-        }
-        SchemeId::Pcm => {
-            let mut c = PcmScheme::with_sink(cfg, sink);
-            c.set_migration_policy(migration);
-            Box::new(c)
-        }
-        SchemeId::L4Cache => Box::new(L4CacheScheme::with_sink(cfg, sink)),
+    if scheme == SchemeId::L4Cache {
+        return Box::new(L4CacheScheme::with_sink(cfg, sink));
     }
+    if scheme == SchemeId::Pcm {
+        cfg.off_profile = DeviceProfile::pcm();
+    }
+    let mut c = HeteroController::with_sink(cfg, sink);
+    c.set_migration_policy(migration);
+    Box::new(c)
 }
 
 #[cfg(test)]
@@ -822,6 +756,13 @@ mod tests {
         assert!(wear.write_lines > 0, "writes must reach the PCM region");
         assert_eq!(wear.banks, DeviceProfile::pcm().total_banks() as u64);
         assert!(het.wear().is_none(), "hetero media has no endurance surface");
+        // The endurance surface follows the off-package profile, not the
+        // scheme token: the hetero scheme over a PCM profile reports it.
+        let mut cfg = quick_cfg(Mode::Dynamic(MigrationDesign::N));
+        cfg.off_profile = DeviceProfile::pcm();
+        let mut het_pcm = build_scheme(SchemeId::Hetero, cfg, MigrationPolicy::HotCold, NullSink);
+        drive(het_pcm.as_mut(), 2_000, 5);
+        assert_eq!(het_pcm.wear(), Some(wear), "same media, same trace, same wear");
     }
 
     #[test]

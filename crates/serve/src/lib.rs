@@ -33,6 +33,10 @@
 //!   content-addressed on-disk mirror of the result cache plus job
 //!   checkpoints, written atomically and verified on every read, so a
 //!   SIGKILL'd server restarts warm and resumes in-flight jobs.
+//! * **[`traces`]** — the durable trace registry behind `/v1/traces`
+//!   (and `hmm-sim --trace-dir`): validated `HMT1` uploads keyed by
+//!   content hash. It and [`store`] share one private blob-directory
+//!   implementation; only their header fields and durability differ.
 //! * **[`client`]** — a tiny blocking HTTP client shared by
 //!   `hmm-loadgen`, the coordinator's peer RPC, and the end-to-end
 //!   tests.
@@ -52,6 +56,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod blob;
 pub mod cache;
 pub mod client;
 pub mod http;
@@ -63,6 +68,7 @@ pub mod response;
 pub mod server;
 pub mod store;
 pub mod sweeps;
+pub mod traces;
 
 pub use cache::LruCache;
 pub use jobs::{Job, JobRegistry, JobState};
@@ -71,3 +77,4 @@ pub use queue::JobQueue;
 pub use request::SimRequest;
 pub use server::{Server, ServerConfig};
 pub use store::Store;
+pub use traces::TraceRegistry;

@@ -38,7 +38,7 @@ use crate::request::{parse_body, Limits, SimRequest};
 use crate::response::{error_body, job_status, render_run, trace_summary_json};
 use crate::store::Store;
 use crate::sweeps::{self, SweepRegistry};
-use hmm_ingest::TraceRegistry;
+use crate::traces::TraceRegistry;
 use hmm_sim_base::FxHashMap;
 use hmm_simulator::driver::{run_resumable_with_sink, run_with_sink, RunResult, SnapshotCtl};
 use hmm_telemetry::{EpochFrameSink, Frame, JsonObject};
@@ -297,12 +297,13 @@ impl Server {
             Some(dir) => Some(Store::open(dir, cfg.store_max_bytes)?),
             None => None,
         };
+        let metrics = ServerMetrics::default();
         // The trace registry rehydrates *before* checkpoint re-admission
         // below: a checkpointed trace-replay job can only re-parse once
         // its trace is back in the replay registry.
         let traces = match &cfg.store_dir {
             Some(dir) => {
-                let (traces, restored) = TraceRegistry::open(&dir.join("traces"))?;
+                let (traces, restored) = TraceRegistry::open(&dir.join("traces"), &metrics)?;
                 if restored > 0 {
                     eprintln!("hmm-serve: trace registry restored {restored} traces");
                 }
@@ -317,7 +318,7 @@ impl Server {
                 cache: LruCache::new(cfg.cache_entries),
                 inflight: FxHashMap::default(),
             }),
-            metrics: ServerMetrics::default(),
+            metrics,
             draining: AtomicBool::new(false),
             local_addr: addr,
             live_acceptors: AtomicUsize::new(cfg.conn_threads.max(1)),
@@ -547,7 +548,7 @@ fn trace_upload(shared: &Shared, req: &Request) -> Response {
     if req.body.is_empty() {
         return bad(shared, 400, "trace upload body is empty");
     }
-    match shared.traces.put(&req.body) {
+    match shared.traces.put(&req.body, &shared.metrics) {
         Ok(summary) => {
             shared.metrics.inc(&shared.metrics.traces_uploaded);
             Response::json(200, trace_summary_json(&summary))
@@ -586,7 +587,7 @@ fn trace_delete(shared: &Shared, path: &str) -> Response {
         Ok(hash) => hash,
         Err(resp) => return resp,
     };
-    if shared.traces.delete(hash) {
+    if shared.traces.delete(hash, &shared.metrics) {
         Response::json(
             200,
             JsonObject::new().str("id", &format!("{hash:016x}")).bool("deleted", true).finish(),

@@ -1,7 +1,8 @@
 //! The durable result store: a content-addressed on-disk mirror of the
 //! in-memory result cache, plus the checkpoint shelf for in-flight jobs.
 //!
-//! Layout under `--store-dir`:
+//! Layout under `--store-dir` (the directory discipline — atomic writes,
+//! quarantine, staging — is `blob`'s):
 //!
 //! ```text
 //! <dir>/entries/<key>       finished result bodies (one file per key)
@@ -10,35 +11,32 @@
 //! <dir>/tmp/                staging for atomic writes
 //! ```
 //!
-//! Every write goes temp-file-then-rename, so a crash at any instant
-//! leaves either the old file, the new file, or a stray temp — never a
-//! half-written entry at a live path. Every read re-verifies the header:
-//! key, length, checksum, and the engine-version stamp
-//! ([`hmm_simulator::snapshot::ENGINE_VERSION`]). A checksum or framing
-//! failure quarantines the file (renamed, kept for forensics, never
-//! served); an engine-stamp mismatch deletes it silently — the entry is
-//! not corrupt, just stale, and serving it would pin figures from an
-//! older simulator behaviour.
+//! Every read re-verifies the header: key, length, checksum, and the
+//! engine-version stamp ([`hmm_simulator::snapshot::ENGINE_VERSION`]). A
+//! checksum or framing failure quarantines the file (renamed, kept for
+//! forensics, never served); an engine-stamp mismatch deletes it silently
+//! — the entry is not corrupt, just stale, and serving it would pin
+//! figures from an older simulator behaviour. Results and checkpoints
+//! are recomputable from their canonical config, so writes are not
+//! synced.
 //!
 //! The store is bounded by `--store-max-bytes` with least-recently-used
 //! eviction over its own recency ledger (independent of the in-memory
-//! cache's capacity). I/O failures degrade, never break, serving: the
-//! first failure logs one line, every failure bumps `store_io_errors`,
-//! and the server continues memory-only.
+//! cache's capacity).
 
+use crate::blob::{decimal, hex16, parse_header, BlobDir, DataClass, ENTRIES};
 use crate::cache::LruCache;
 use crate::metrics::ServerMetrics;
 use hmm_sim_base::snap::snap_hash;
 use hmm_sim_base::FxHashMap;
 use hmm_simulator::snapshot::ENGINE_VERSION;
 use std::fs;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 const ENTRY_MAGIC: &str = "hmm-store-v1";
 const CKPT_MAGIC: &str = "hmm-ckpt-v1";
+const CHECKPOINTS: &str = "checkpoints";
 
 /// Recency ledger for the on-disk entries.
 #[derive(Debug, Default)]
@@ -82,47 +80,20 @@ impl Ledger {
 /// The content-addressed durable store.
 #[derive(Debug)]
 pub struct Store {
-    entries: PathBuf,
-    checkpoints: PathBuf,
-    quarantine: PathBuf,
-    tmp: PathBuf,
+    blobs: BlobDir,
     /// Byte budget for `entries/`; 0 = unbounded.
     max_bytes: u64,
     ledger: Mutex<Ledger>,
-    /// Monotone name disambiguator for temp and quarantine files.
-    seq: AtomicU64,
-    /// First-failure flag: I/O trouble logs once, counts every time.
-    io_error_logged: AtomicBool,
-}
-
-fn entry_name(key: u64) -> String {
-    format!("{key:016x}")
 }
 
 impl Store {
     /// Open (creating if needed) a store rooted at `dir`.
     pub fn open(dir: &Path, max_bytes: u64) -> std::io::Result<Store> {
-        let store = Store {
-            entries: dir.join("entries"),
-            checkpoints: dir.join("checkpoints"),
-            quarantine: dir.join("quarantine"),
-            tmp: dir.join("tmp"),
+        Ok(Store {
+            blobs: BlobDir::open(dir, &[ENTRIES, CHECKPOINTS], DataClass::Derived, "store")?,
             max_bytes,
             ledger: Mutex::new(Ledger::default()),
-            seq: AtomicU64::new(0),
-            io_error_logged: AtomicBool::new(false),
-        };
-        for d in [&store.entries, &store.checkpoints, &store.quarantine, &store.tmp] {
-            fs::create_dir_all(d)?;
-        }
-        // Stray temp files are crash leftovers; no live path refers to
-        // them.
-        if let Ok(rd) = fs::read_dir(&store.tmp) {
-            for f in rd.flatten() {
-                let _ = fs::remove_file(f.path());
-            }
-        }
-        Ok(store)
+        })
     }
 
     /// Bytes of result bodies currently on disk.
@@ -135,62 +106,17 @@ impl Store {
         self.ledger.lock().unwrap().entries.len()
     }
 
-    fn io_error(&self, what: &str, e: &std::io::Error, metrics: &ServerMetrics) {
-        metrics.inc(&metrics.store_io_errors);
-        if !self.io_error_logged.swap(true, Ordering::SeqCst) {
-            eprintln!(
-                "hmm-serve: store {what} failed ({e}); continuing memory-only \
-                 (further store I/O errors are counted, not logged)"
-            );
-        }
-    }
-
-    /// Write `bytes` to `path` via a temp file and an atomic rename.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        let staged = self.tmp.join(format!(
-            "{}.{}",
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("entry"),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut f = fs::File::create(&staged)?;
-        f.write_all(bytes)?;
-        drop(f);
-        match fs::rename(&staged, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&staged);
-                Err(e)
-            }
-        }
-    }
-
-    /// Move a bad file into `quarantine/` (never served again, kept for
-    /// inspection) and count it.
-    fn quarantine_file(&self, path: &Path, why: &str, metrics: &ServerMetrics) {
-        metrics.inc(&metrics.store_corrupt_quarantined);
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("entry");
-        let dest =
-            self.quarantine.join(format!("{name}.{}", self.seq.fetch_add(1, Ordering::Relaxed)));
-        eprintln!("hmm-serve: store entry {name} {why}; quarantined to {}", dest.display());
-        if fs::rename(path, &dest).is_err() {
-            // Can't even move it aside — at least get it off the live
-            // path so it is never read again.
-            let _ = fs::remove_file(path);
-        }
-    }
-
     /// Store one finished result body. Failures degrade to memory-only
     /// serving; they never fail the request.
     pub fn put(&self, key: u64, body: &str, metrics: &ServerMetrics) {
         let framed = frame_entry(key, body);
-        let path = self.entries.join(entry_name(key));
-        match self.write_atomic(&path, framed.as_bytes()) {
+        match self.blobs.write(&self.blobs.path(ENTRIES, key), &[framed.as_bytes()]) {
             Ok(()) => {
                 let mut ledger = self.ledger.lock().unwrap();
                 ledger.insert(key, framed.len() as u64);
                 self.evict_over_budget(&mut ledger, metrics);
             }
-            Err(e) => self.io_error("write", &e, metrics),
+            Err(e) => self.blobs.io_error("write", &e, metrics),
         }
     }
 
@@ -201,8 +127,8 @@ impl Store {
         while ledger.total_bytes > self.max_bytes {
             let Some(victim) = ledger.lru() else { break };
             ledger.remove(victim);
-            if let Err(e) = fs::remove_file(self.entries.join(entry_name(victim))) {
-                self.io_error("evict", &e, metrics);
+            if let Err(e) = fs::remove_file(self.blobs.path(ENTRIES, victim)) {
+                self.blobs.io_error("evict", &e, metrics);
             }
         }
     }
@@ -210,62 +136,45 @@ impl Store {
     /// Fetch a result body by key, verifying it end to end. A corrupt
     /// entry is quarantined and reads as a miss.
     pub fn get(&self, key: u64, metrics: &ServerMetrics) -> Option<String> {
-        let path = self.entries.join(entry_name(key));
-        let raw = match fs::read(&path) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) => {
-                self.io_error("read", &e, metrics);
-                return None;
-            }
-        };
+        let path = self.blobs.path(ENTRIES, key);
+        let raw = self.blobs.read(&path, "read", metrics)?;
         match parse_entry(key, &raw) {
             Ok(body) => {
                 self.ledger.lock().unwrap().touch(key);
-                Some(body)
+                return Some(body);
             }
+            // Not corrupt — written by a different engine version. Serving
+            // it would resurrect figures the current engine would not
+            // produce; drop it without ceremony.
             Err(Stale) => {
-                // Not corrupt — written by a different engine version.
-                // Serving it would resurrect figures the current engine
-                // would not produce; drop it without ceremony.
                 let _ = fs::remove_file(&path);
-                self.ledger.lock().unwrap().remove(key);
-                None
             }
-            Err(Corrupt(why)) => {
-                self.quarantine_file(&path, &why, metrics);
-                self.ledger.lock().unwrap().remove(key);
-                None
-            }
+            Err(Corrupt(why)) => self.blobs.quarantine(&path, &why, metrics),
         }
+        self.ledger.lock().unwrap().remove(key);
+        None
     }
 
     /// Load every verifiable entry into `cache`, oldest first (so the
     /// newest entries end up most-recently-used on both sides), and seed
     /// the recency ledger. Returns how many entries were restored.
     pub fn rehydrate(&self, cache: &mut LruCache, metrics: &ServerMetrics) -> usize {
-        let Ok(rd) = fs::read_dir(&self.entries) else { return 0 };
-        let mut files: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
-        for f in rd.flatten() {
-            let path = f.path();
-            let Some(key) = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| u64::from_str_radix(n, 16).ok())
-            else {
-                // Not one of ours; leave it alone.
-                continue;
-            };
-            let mtime = f
-                .metadata()
-                .and_then(|m| m.modified())
-                .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            files.push((mtime, path, key));
-        }
+        let mut files: Vec<(std::time::SystemTime, u64)> = self
+            .blobs
+            .keys(ENTRIES)
+            .into_iter()
+            .map(|key| {
+                let mtime = fs::metadata(self.blobs.path(ENTRIES, key))
+                    .and_then(|m| m.modified())
+                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+                (mtime, key)
+            })
+            .collect();
         files.sort();
         let mut restored = 0;
-        for (_, path, key) in files {
-            let Ok(raw) = fs::read(&path) else { continue };
+        for (_, key) in files {
+            let path = self.blobs.path(ENTRIES, key);
+            let Some(raw) = self.blobs.read(&path, "read", metrics) else { continue };
             match parse_entry(key, &raw) {
                 Ok(body) => {
                     let mut ledger = self.ledger.lock().unwrap();
@@ -278,7 +187,7 @@ impl Store {
                 Err(Stale) => {
                     let _ = fs::remove_file(&path);
                 }
-                Err(Corrupt(why)) => self.quarantine_file(&path, &why, metrics),
+                Err(Corrupt(why)) => self.blobs.quarantine(&path, &why, metrics),
             }
         }
         restored
@@ -307,10 +216,9 @@ impl Store {
         framed.extend_from_slice(canonical.as_bytes());
         framed.push(b'\n');
         framed.extend_from_slice(snapshot);
-        let path = self.checkpoints.join(entry_name(key));
-        match self.write_atomic(&path, &framed) {
+        match self.blobs.write(&self.blobs.path(CHECKPOINTS, key), &[&framed]) {
             Ok(()) => metrics.inc(&metrics.snapshots_written),
-            Err(e) => self.io_error("checkpoint write", &e, metrics),
+            Err(e) => self.blobs.io_error("checkpoint write", &e, metrics),
         }
     }
 
@@ -318,15 +226,8 @@ impl Store {
     /// snapshot bytes)`. A torn or corrupt checkpoint is quarantined and
     /// reads as absent — the job simply restarts from scratch.
     pub fn read_checkpoint(&self, key: u64, metrics: &ServerMetrics) -> Option<(String, Vec<u8>)> {
-        let path = self.checkpoints.join(entry_name(key));
-        let raw = match fs::read(&path) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) => {
-                self.io_error("checkpoint read", &e, metrics);
-                return None;
-            }
-        };
+        let path = self.blobs.path(CHECKPOINTS, key);
+        let raw = self.blobs.read(&path, "checkpoint read", metrics)?;
         match parse_checkpoint(key, &raw) {
             Ok(parts) => Some(parts),
             Err(Stale) => {
@@ -334,7 +235,7 @@ impl Store {
                 None
             }
             Err(Corrupt(why)) => {
-                self.quarantine_file(&path, &why, metrics);
+                self.blobs.quarantine(&path, &why, metrics);
                 None
             }
         }
@@ -342,19 +243,13 @@ impl Store {
 
     /// Drop a job's checkpoint (its result has been published).
     pub fn remove_checkpoint(&self, key: u64) {
-        let _ = fs::remove_file(self.checkpoints.join(entry_name(key)));
+        let _ = fs::remove_file(self.blobs.path(CHECKPOINTS, key));
     }
 
     /// Keys of every checkpoint currently on the shelf (restart
     /// re-admission scans this).
     pub fn checkpoint_keys(&self) -> Vec<u64> {
-        let Ok(rd) = fs::read_dir(&self.checkpoints) else { return Vec::new() };
-        let mut keys: Vec<u64> = rd
-            .flatten()
-            .filter_map(|f| f.file_name().to_str().and_then(|n| u64::from_str_radix(n, 16).ok()))
-            .collect();
-        keys.sort_unstable();
-        keys
+        self.blobs.keys(CHECKPOINTS)
     }
 }
 
@@ -377,22 +272,10 @@ fn frame_entry(key: u64, body: &str) -> String {
 }
 
 fn parse_entry(key: u64, raw: &[u8]) -> Result<String, Reject> {
-    let nl =
-        raw.iter().position(|&b| b == b'\n').ok_or_else(|| Corrupt("has no header line".into()))?;
-    let header = std::str::from_utf8(&raw[..nl]).map_err(|_| Corrupt("header not UTF-8".into()))?;
-    let fields: Vec<&str> = header.split(' ').collect();
-    let [magic, engine, hkey, len, sum] = fields[..] else {
-        return Err(Corrupt(format!("header has {} fields, want 5", fields.len())));
-    };
-    if magic != ENTRY_MAGIC {
-        return Err(Corrupt(format!("bad magic '{magic}'")));
-    }
-    if u64::from_str_radix(hkey, 16) != Ok(key) {
-        return Err(Corrupt(format!("header key {hkey} disagrees with file name")));
-    }
-    let len: usize = len.parse().map_err(|_| Corrupt("unparsable body length".into()))?;
-    let sum = u64::from_str_radix(sum, 16).map_err(|_| Corrupt("unparsable checksum".into()))?;
-    let body = &raw[nl + 1..];
+    let ([_, engine, _, len, sum], body) =
+        parse_header(raw, ENTRY_MAGIC, 2, key).map_err(Corrupt)?;
+    let len = decimal(len).ok_or_else(|| Corrupt("unparsable body length".into()))?;
+    let sum = hex16(sum).ok_or_else(|| Corrupt("unparsable checksum".into()))?;
     if body.len() != len {
         return Err(Corrupt(format!("body is {} bytes, header says {len}", body.len())));
     }
@@ -408,28 +291,17 @@ fn parse_entry(key: u64, raw: &[u8]) -> Result<String, Reject> {
 }
 
 fn parse_checkpoint(key: u64, raw: &[u8]) -> Result<(String, Vec<u8>), Reject> {
-    let nl =
-        raw.iter().position(|&b| b == b'\n').ok_or_else(|| Corrupt("has no header line".into()))?;
-    let header = std::str::from_utf8(&raw[..nl]).map_err(|_| Corrupt("header not UTF-8".into()))?;
-    let fields: Vec<&str> = header.split(' ').collect();
-    let [magic, engine, hkey, clen, slen, sum] = fields[..] else {
-        return Err(Corrupt(format!("header has {} fields, want 6", fields.len())));
-    };
-    if magic != CKPT_MAGIC {
-        return Err(Corrupt(format!("bad magic '{magic}'")));
-    }
-    if u64::from_str_radix(hkey, 16) != Ok(key) {
-        return Err(Corrupt(format!("header key {hkey} disagrees with file name")));
-    }
-    let clen: usize = clen.parse().map_err(|_| Corrupt("unparsable config length".into()))?;
-    let slen: usize = slen.parse().map_err(|_| Corrupt("unparsable snapshot length".into()))?;
-    let sum = u64::from_str_radix(sum, 16).map_err(|_| Corrupt("unparsable checksum".into()))?;
-    let rest = &raw[nl + 1..];
-    if rest.len() != clen + 1 + slen {
+    let ([_, engine, _, clen, slen, sum], rest) =
+        parse_header(raw, CKPT_MAGIC, 2, key).map_err(Corrupt)?;
+    let clen = decimal(clen).ok_or_else(|| Corrupt("unparsable config length".into()))?;
+    let slen = decimal(slen).ok_or_else(|| Corrupt("unparsable snapshot length".into()))?;
+    let sum = hex16(sum).ok_or_else(|| Corrupt("unparsable checksum".into()))?;
+    // Lengths come from the file: a sum that overflows is corruption, not
+    // a panic (debug) or a wrapped length that passes the check (release).
+    if clen.checked_add(1).and_then(|n| n.checked_add(slen)) != Some(rest.len()) {
         return Err(Corrupt(format!(
-            "payload is {} bytes, header says {}",
-            rest.len(),
-            clen + 1 + slen
+            "payload is {} bytes, header says {clen} + 1 + {slen}",
+            rest.len()
         )));
     }
     let (canonical, snapshot) = (&rest[..clen], &rest[clen + 1..]);
@@ -452,6 +324,18 @@ fn parse_checkpoint(key: u64, raw: &[u8]) -> Result<(String, Vec<u8>), Reject> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blob::{entry_name, hostile};
+    use std::path::PathBuf;
+    use std::sync::atomic::Ordering;
+
+    /// Stored files, byte for byte: key 7 holding `body seven`, and the
+    /// checkpoint of key 5. The framing is a compatibility contract:
+    /// directories written by earlier builds must read back, so the
+    /// literals pin it.
+    const ENTRY_7: &[u8] =
+        b"hmm-store-v1 hmm-engine-v1 0000000000000007 10 7116941edde3773c\nbody seven";
+    const CKPT_5: &[u8] = b"hmm-ckpt-v1 hmm-engine-v1 0000000000000005 17 6 94320ad231d7174c\n\
+        {\"workload\":\"mg\"}\n\x00\x01\x02\xfa\xfb\xfc";
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hmm-store-test-{tag}-{}", std::process::id()));
@@ -612,6 +496,75 @@ mod tests {
         assert_eq!(m.store_io_errors.load(Ordering::Relaxed), 2, "every failure counts");
         assert_eq!(s.entries(), 0, "failed writes must not enter the ledger");
         assert_eq!(s.bytes(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn earlier_files_read_back_and_writes_are_byte_identical() {
+        let dir = tmpdir("fixtures");
+        let m = ServerMetrics::default();
+        {
+            let s = Store::open(&dir, 0).unwrap();
+            s.put(7, "body seven", &m);
+            s.write_checkpoint(5, r#"{"workload":"mg"}"#, &[0, 1, 2, 250, 251, 252], &m);
+        }
+        let entry = dir.join("entries").join(entry_name(7));
+        let ckpt = dir.join("checkpoints").join(entry_name(5));
+        assert_eq!(fs::read(&entry).unwrap(), ENTRY_7, "result framing changed");
+        assert_eq!(fs::read(&ckpt).unwrap(), CKPT_5, "checkpoint framing changed");
+        // The literals themselves, placed by hand, restore on a reopen.
+        fs::write(&entry, ENTRY_7).unwrap();
+        fs::write(&ckpt, CKPT_5).unwrap();
+        let s = Store::open(&dir, 0).unwrap();
+        let mut cache = LruCache::new(4);
+        assert_eq!(s.rehydrate(&mut cache, &m), 1);
+        assert_eq!(cache.get(7).as_deref().map(String::as_str), Some("body seven"));
+        assert_eq!(s.checkpoint_keys(), vec![5]);
+        let (canonical, snap) = s.read_checkpoint(5, &m).unwrap();
+        assert_eq!(
+            (canonical.as_str(), snap.as_slice()),
+            (r#"{"workload":"mg"}"#, &[0, 1, 2, 250, 251, 252][..])
+        );
+        assert_eq!(m.store_corrupt_quarantined.load(Ordering::Relaxed), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_headers_are_rejected_without_panicking() {
+        hostile::assert_all_rejected(ENTRY_7, 7, |raw| parse_entry(7, raw).is_ok());
+        hostile::assert_all_rejected(CKPT_5, 5, |raw| parse_checkpoint(5, raw).is_ok());
+    }
+
+    #[test]
+    fn overflowing_checkpoint_lengths_are_quarantined() {
+        let dir = tmpdir("ckpt-overflow");
+        let m = ServerMetrics::default();
+        let s = Store::open(&dir, 0).unwrap();
+        // `clen + 1 + slen` wraps to the payload's length in release, so
+        // only checked arithmetic catches it.
+        let path = dir.join("checkpoints").join(entry_name(5));
+        fs::write(
+            &path,
+            b"hmm-ckpt-v1 hmm-engine-v1 0000000000000005 18446744073709551615 0 0000000000000000\n",
+        )
+        .unwrap();
+        assert_eq!(s.checkpoint_keys(), vec![5]);
+        assert!(s.read_checkpoint(5, &m).is_none());
+        assert!(!path.exists(), "the bad checkpoint left the live path");
+        assert_eq!(m.store_corrupt_quarantined.load(Ordering::Relaxed), 1);
+        assert!(s.checkpoint_keys().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unreadable_entries_count_as_io_errors_at_rehydration() {
+        let dir = tmpdir("unreadable");
+        let m = ServerMetrics::default();
+        let s = Store::open(&dir, 0).unwrap();
+        // A directory at an entry's path: listed as a key, fails to read.
+        fs::create_dir(dir.join("entries").join(entry_name(3))).unwrap();
+        assert_eq!(s.rehydrate(&mut LruCache::new(4), &m), 0);
+        assert_eq!(m.store_io_errors.load(Ordering::Relaxed), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -192,6 +192,41 @@ fn registry_rehydrates_across_restart() {
 }
 
 #[test]
+fn corrupt_blob_is_quarantined_at_restart_and_counted_in_metrics() {
+    let dir = tmpdir("quarantine");
+    let config = || ServerConfig {
+        workers: 1,
+        conn_threads: 4,
+        store_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let id = {
+        let server = Server::start(config()).expect("bind first server");
+        let id = upload(server.local_addr(), &trace_bytes(0xBAD5EED, 1_500));
+        server.shutdown();
+        id
+    };
+    let blob = dir.join("traces").join("entries").join(&id);
+    let mut raw = std::fs::read(&blob).unwrap();
+    let last = raw.len() - 1;
+    raw[last] ^= 0x01;
+    std::fs::write(&blob, &raw).unwrap();
+    // The first server registered the trace in this process's replay
+    // registry; only the disk copy is under test.
+    hmm_workloads::replay::unregister(u64::from_str_radix(&id, 16).unwrap());
+
+    let server = Server::start(config()).expect("bind second server");
+    let addr = server.local_addr();
+    let metrics = jsonin::parse(&get(addr, "/metrics").body).unwrap();
+    assert_eq!(metrics.get("store_corrupt_quarantined").unwrap().as_f64(), Some(1.0));
+    assert_eq!(metrics.get("store_io_errors").unwrap().as_f64(), Some(0.0));
+    assert_eq!(metrics.get("traces_stored").unwrap().as_f64(), Some(0.0));
+    assert_eq!(get(addr, &format!("/v1/traces/{id}")).status, 404, "never served");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn job_event_stream_is_monotone_and_eofs_at_completion() {
     let server = small_server();
     let addr = server.local_addr();

@@ -231,7 +231,7 @@ impl RunResult {
 const TRACE_BLOCK: usize = 4096;
 
 /// The shared [`ControllerConfig`] for a run: everything but the scheme
-/// choice itself (the PCM scheme overrides `off_profile` internally).
+/// choice itself (`build_scheme` swaps in the PCM `off_profile`).
 fn controller_config(cfg: &RunConfig, machine: MachineConfig) -> ControllerConfig {
     ControllerConfig {
         machine,
@@ -280,78 +280,8 @@ pub fn run_with_sink<S: TelemetrySink + Clone + Send + 'static>(
     cfg: &RunConfig,
     sink: S,
 ) -> RunResult {
-    let (workload_name, mut trace) = trace_source(cfg);
-    let geometry = cfg.geometry();
-    let machine = MachineConfig { geometry, ..MachineConfig::default() };
-    let mut ctrl = build_scheme(cfg.scheme, controller_config(cfg, machine), cfg.migration, sink);
-
-    let mut access = AccessStats::new();
-    // Completions drained before the warm-up boundary id is known are
-    // stashed and classified at the end (demand ids are monotone in
-    // submission order, so `id <= boundary` identifies warm-up accesses).
-    let mut warmup_boundary_id = if cfg.warmup == 0 { Some(0u64) } else { None };
-    let mut stash: Vec<hmm_core::controller::DemandCompletion> = Vec::new();
-    // Reusable buffer for the periodic post-warm-up drains (the
-    // allocation-free object-safe replacement for the old Drain iterator).
-    let mut drained: Vec<hmm_core::controller::DemandCompletion> = Vec::new();
-    let mut submitted = 0u64;
-    // Trace records are generated in blocks (amortising the generator's
-    // per-record draw setup and keeping generator and simulator code out
-    // of each other's instruction stream), but submitted to the
-    // controller one at a time on the exact per-record advance cadence —
-    // the controller's stall/copy interactions are cadence-sensitive, so
-    // coarsening `advance` would not be bit-identical. Block size is
-    // behaviour-invariant: `next_block` reproduces the iterator exactly
-    // for any partition (proven by the block-size-invariance test in
-    // `hmm_workloads::trace`).
-    let mut block = Vec::new();
-    let mut remaining = cfg.accesses as usize;
-    while remaining > 0 {
-        let n = remaining.min(TRACE_BLOCK);
-        trace.next_block(&mut block, n);
-        remaining -= n;
-        for rec in &block {
-            let id = ctrl.access(rec.tick, rec.addr, rec.is_write);
-            submitted += 1;
-            if submitted == cfg.warmup {
-                warmup_boundary_id = Some(id);
-            }
-            ctrl.advance(rec.tick);
-            if submitted.is_multiple_of(64) {
-                match warmup_boundary_id {
-                    Some(b) => {
-                        ctrl.drain_completed_into(&mut drained);
-                        for c in drained.drain(..) {
-                            if c.id > b {
-                                access.record(&c.breakdown, c.is_write, c.on_package);
-                            }
-                        }
-                    }
-                    None => ctrl.drain_completed_into(&mut stash),
-                }
-            }
-        }
-    }
-    ctrl.flush();
-    ctrl.drain_completed_into(&mut stash);
-    let boundary = warmup_boundary_id.unwrap_or(u64::MAX);
-    for c in stash {
-        if c.id > boundary {
-            access.record(&c.breakdown, c.is_write, c.on_package);
-        }
-    }
-
-    let (on_region, off_region) = ctrl.region_stats();
-    RunResult {
-        workload: workload_name,
-        access,
-        controller: ctrl.stats(),
-        swaps: ctrl.swap_stats(),
-        on_region,
-        off_region,
-        geometry,
-        wear: ctrl.wear(),
-    }
+    run_resumable_with_sink(cfg, SnapshotCtl::none(), sink)
+        .expect("a run that neither resumes nor captures has no failure path")
 }
 
 /// Snapshot control for [`run_resumable`]: where to resume from, how
@@ -380,12 +310,13 @@ impl SnapshotCtl<'_> {
 /// A run resumed from any snapshot is bit-identical to the uninterrupted
 /// run: the snapshot serializes every piece of dynamic state the loop
 /// touches (controller, DRAM timing, migration engine, trace generator
-/// RNG and cursors, warm-up bookkeeping, undrained completions), and the
-/// loop below replays the identical per-record cadence as [`run`]. Trace
-/// records are generated in blocks aligned to snapshot boundaries; block
-/// partitioning is behaviour-invariant (proven by the
-/// block-size-invariance test in `hmm_workloads::trace`), so the
-/// alignment changes generator locality only, never the record stream.
+/// RNG and cursors, warm-up bookkeeping, undrained completions). This is
+/// the only driver loop: [`run`] and [`run_with_sink`] call it with
+/// [`SnapshotCtl::none`]. Trace records are generated in blocks aligned
+/// to snapshot boundaries; block partitioning is behaviour-invariant
+/// (proven by the block-size-invariance test in `hmm_workloads::trace`),
+/// so the alignment changes generator locality only, never the record
+/// stream.
 ///
 /// Snapshots capture at every multiple of `ctl.every` submitted accesses
 /// — including mid-migration, mid-stall, and pre-warm-up points — so any
@@ -409,8 +340,12 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
     let mut ctrl = build_scheme(cfg.scheme, controller_config(cfg, machine), cfg.migration, sink);
 
     let mut access = AccessStats::new();
+    // Completions drained before the warm-up boundary id is known are
+    // stashed and classified at the end (demand ids are monotone in
+    // submission order, so `id <= boundary` identifies warm-up accesses).
     let mut warmup_boundary_id = if cfg.warmup == 0 { Some(0u64) } else { None };
     let mut stash: Vec<DemandCompletion> = Vec::new();
+    // Reusable buffer for the periodic post-warm-up drains.
     let mut drained: Vec<DemandCompletion> = Vec::new();
     let mut submitted = 0u64;
     let config_hash = fxhash64(canonical_json(cfg).as_bytes());
@@ -451,6 +386,12 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
         r.finish()?;
     }
 
+    // Trace records are generated in blocks (amortising the generator's
+    // per-record draw setup and keeping generator and simulator code out
+    // of each other's instruction stream), but submitted to the
+    // controller one at a time on the exact per-record advance cadence —
+    // the controller's stall/copy interactions are cadence-sensitive, so
+    // coarsening `advance` would not be bit-identical.
     let mut block = Vec::new();
     let mut remaining = (cfg.accesses - submitted) as usize;
     while remaining > 0 {
