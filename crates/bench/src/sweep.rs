@@ -33,7 +33,9 @@ pub fn figures_from_spec(spec_text: &str, max_cells: usize) -> Result<String, St
     let mut seen = HashSet::new();
     for (i, body) in bodies.iter().enumerate() {
         let sim = parse_body(body, &limits).map_err(|e| format!("cell {i}: {e}"))?;
-        if seen.insert(sim.key) {
+        // Dedup by canonical text, as the server does: configurations
+        // sharing a cache key are still distinct cells.
+        if seen.insert(sim.canonical.clone()) {
             sims.push(sim);
         }
     }
@@ -157,6 +159,15 @@ mod tests {
             "scale":64,"page":["64K",65536]}"#;
         let doc = jsonin::parse(&figures_from_spec(spec, 16).unwrap()).unwrap();
         assert_eq!(doc.get("cells").unwrap().as_f64(), Some(1.0), "two spellings, one cell");
+    }
+
+    #[test]
+    fn cells_sharing_a_cache_key_stay_distinct() {
+        // These two seeds' canonical configs share one `fxhash64` key.
+        let spec = r#"{"workload":"pgbench","mode":"live","accesses":10000,"interval":1000,
+            "scale":64,"seed":[1669855655857084,1669855655857834]}"#;
+        let doc = jsonin::parse(&figures_from_spec(spec, 16).unwrap()).unwrap();
+        assert_eq!(doc.get("cells").unwrap().as_f64(), Some(2.0), "two configs, two cells");
     }
 
     #[test]

@@ -355,11 +355,7 @@ impl<S: TelemetrySink> Channel<S> {
             // the capacity demand leaves idle — which is how demand-first
             // arbitration behaves in hardware.
             let Some(front) = self.bg_queue.front() else { break };
-            if front.txn.arrival > now {
-                break;
-            }
-            let lead = self.timing.t_rcd + self.timing.t_cl + 2 * self.timing.t_burst;
-            if self.data_bus_free > now.saturating_add(lead) {
+            if front.txn.arrival > now || now < self.background_gate() {
                 break;
             }
             let q = self.bg_queue.pop_front().expect("front exists");
@@ -367,6 +363,28 @@ impl<S: TelemetrySink> Channel<S> {
             self.clock = self.clock.max(data_start);
             out.push(completion);
         }
+    }
+
+    /// First cycle at which the background gate in [`Channel::advance`]
+    /// lets a background line issue: the data bus may be committed at
+    /// most one activate+CAS pipeline plus two bursts past `now`.
+    pub(crate) fn background_gate(&self) -> Cycle {
+        let lead = self.timing.t_rcd + self.timing.t_cl + 2 * self.timing.t_burst;
+        self.data_bus_free.saturating_sub(lead)
+    }
+
+    /// The earliest `now` at which [`Channel::advance`] would issue
+    /// anything; `Cycle::MAX` when both queues are empty. Exact: an
+    /// `advance` before it issues nothing and changes no state. Demand
+    /// issues once its front request has arrived; background once its
+    /// front leg has arrived and the bus gate is open. Throttle windows
+    /// and refresh only delay an issue, never decide whether one
+    /// happens, so they play no part here.
+    pub(crate) fn next_due(&self) -> Cycle {
+        let demand = self.queue.front().map_or(Cycle::MAX, |q| q.txn.arrival);
+        let background =
+            self.bg_queue.front().map_or(Cycle::MAX, |q| q.txn.arrival.max(self.background_gate()));
+        demand.min(background)
     }
 
     /// Service everything left in the queue regardless of arrival time
@@ -785,6 +803,51 @@ mod tests {
             finishes[4] >= (first_cmd_finish - intrinsic) + t.t_faw,
             "fifth activate must respect tFAW"
         );
+    }
+
+    #[test]
+    fn idle_channel_is_never_due() {
+        let mut ch = mk();
+        assert_eq!(ch.next_due(), Cycle::MAX);
+        let mut out = Vec::new();
+        ch.enqueue(Transaction::demand(1, 100, 0, false), coord(0, 0));
+        ch.advance(100, SchedPolicy::FrFcfs, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(ch.next_due(), Cycle::MAX, "a drained channel is idle again");
+    }
+
+    #[test]
+    fn demand_issues_exactly_at_next_due() {
+        let mut ch = mk();
+        let mut out = Vec::new();
+        ch.enqueue(Transaction::demand(1, 500, 0, false), coord(0, 0));
+        ch.enqueue(Transaction::migration(2, 900, 64, false, 1), coord(1, 0));
+        assert_eq!(ch.next_due(), 500, "the earlier of demand and background");
+        ch.advance(499, SchedPolicy::FrFcfs, &mut out);
+        assert!(out.is_empty(), "nothing issues before the due cycle");
+        ch.advance(500, SchedPolicy::FrFcfs, &mut out);
+        assert_eq!(out.len(), 1, "now == due issues");
+        assert_eq!(ch.next_due(), 900);
+    }
+
+    #[test]
+    fn background_issues_exactly_when_the_bus_gate_opens() {
+        let mut ch = mk();
+        let mut out = Vec::new();
+        for i in 0..3 {
+            ch.enqueue(Transaction::migration(i, 0, 0, false, 64), coord(0, 1));
+        }
+        // The first 64-line leg commits the bus far past the gate's lead,
+        // so the next leg has arrived but waits for the gate.
+        ch.advance(0, SchedPolicy::FrFcfs, &mut out);
+        assert_eq!(out.len(), 1);
+        let due = ch.next_due();
+        assert!(due > 0 && due == ch.background_gate(), "gate-bound due {due}");
+        ch.advance(due - 1, SchedPolicy::FrFcfs, &mut out);
+        assert_eq!(out.len(), 1, "nothing issues before the gate opens");
+        ch.advance(due, SchedPolicy::FrFcfs, &mut out);
+        assert_eq!(out.len(), 2, "now == due issues one leg");
+        assert!(ch.next_due() > due, "the issued leg pushed the gate out");
     }
 
     #[test]

@@ -86,16 +86,21 @@ pub struct DramRegion<S: TelemetrySink = NullSink> {
     channels: Vec<Channel<S>>,
     policy: SchedPolicy,
     completions: Vec<Completion>,
-    /// Transactions enqueued but not yet completed, across all channels.
-    /// Lets `advance` skip the whole channel sweep when the region is idle
-    /// (the common case for the quiet region of a mostly-one-sided phase).
+    /// Transactions enqueued but not yet completed, across all channels
+    /// (the fan-out gate's backlog depth).
     queued: usize,
-    /// Per-channel share of `queued`, kept as a dense array so the
-    /// `advance` sweep skips idle channels off one cache line instead of
-    /// dereferencing every `Channel` to discover it has no work. Skipped
-    /// channels produce no completions, so the completion order (channel
-    /// index order) is unchanged.
+    /// Per-channel share of `queued`: which channels the fan-out services.
     chan_queued: Vec<u32>,
+    /// Each channel's [`Channel::next_due`], kept as a dense array so the
+    /// `advance` sweep picks the channels with work due off one cache
+    /// line instead of dereferencing every `Channel` to discover it has
+    /// none. A skipped channel would have issued nothing, so completions
+    /// and their order (channel index order) are unchanged. Derived
+    /// state: never serialized, rebuilt on load.
+    due: Vec<Cycle>,
+    /// Minimum of `due`: an `advance` before it touches no channel (the
+    /// common case for the quiet region of a mostly-one-sided phase).
+    min_due: Cycle,
 }
 
 impl DramRegion {
@@ -133,8 +138,17 @@ impl<S: TelemetrySink + Clone> DramRegion<S> {
         let channels = (0..profile.channels)
             .map(|i| Channel::with_sink(profile, timing, page_policy, sink.clone(), kind, i))
             .collect();
-        let chan_queued = vec![0; profile.channels as usize];
-        Self { profile, channels, policy, completions: Vec::new(), queued: 0, chan_queued }
+        let n = profile.channels as usize;
+        Self {
+            profile,
+            channels,
+            policy,
+            completions: Vec::new(),
+            queued: 0,
+            chan_queued: vec![0; n],
+            due: vec![Cycle::MAX; n],
+            min_due: Cycle::MAX,
+        }
     }
 }
 
@@ -153,27 +167,36 @@ impl<S: TelemetrySink> DramRegion<S> {
     /// region (the memory controller subtracts the region base).
     pub fn enqueue(&mut self, txn: Transaction) {
         let coord = self.profile.decode(txn.addr);
+        let i = coord.channel as usize;
         self.queued += 1;
-        self.chan_queued[coord.channel as usize] += 1;
-        self.channels[coord.channel as usize].enqueue(txn, coord);
+        self.chan_queued[i] += 1;
+        let ch = &mut self.channels[i];
+        ch.enqueue(txn, coord);
+        // A new request can only make the channel due earlier, so the
+        // running minimum stays exact.
+        self.due[i] = ch.next_due();
+        self.min_due = self.min_due.min(self.due[i]);
     }
 
     /// Advance simulated time: service everything that has arrived by
-    /// `now` on every channel that has work queued.
+    /// `now`, visiting only the channels with an issue due by then.
     pub fn advance(&mut self, now: Cycle) {
-        if self.queued == 0 {
+        if now < self.min_due {
             return;
         }
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            if self.chan_queued[i] == 0 {
-                continue;
+        let mut min_due = Cycle::MAX;
+        for (i, (ch, due)) in self.channels.iter_mut().zip(&mut self.due).enumerate() {
+            if *due <= now {
+                let before = self.completions.len();
+                ch.advance(now, self.policy, &mut self.completions);
+                let done = self.completions.len() - before;
+                self.chan_queued[i] -= done as u32;
+                self.queued -= done;
+                *due = ch.next_due();
             }
-            let before = self.completions.len();
-            ch.advance(now, self.policy, &mut self.completions);
-            let done = self.completions.len() - before;
-            self.chan_queued[i] -= done as u32;
-            self.queued -= done;
+            min_due = min_due.min(*due);
         }
+        self.min_due = min_due;
     }
 
     /// Service all remaining transactions (end of trace).
@@ -188,6 +211,16 @@ impl<S: TelemetrySink> DramRegion<S> {
             self.chan_queued[i] -= done as u32;
             self.queued -= done;
         }
+        self.refresh_due();
+    }
+
+    /// Recompute `due` and `min_due` from the channels, after a service
+    /// path that does not maintain them per channel.
+    fn refresh_due(&mut self) {
+        for (due, ch) in self.due.iter_mut().zip(&self.channels) {
+            *due = ch.next_due();
+        }
+        self.min_due = self.due.iter().copied().min().unwrap_or(Cycle::MAX);
     }
 
     /// Channels with at least one queued transaction.
@@ -251,7 +284,8 @@ impl<S: TelemetrySink> DramRegion<S> {
 
     /// Serialize the region's dynamic state (snapshot/resume support):
     /// every channel plus any completions accumulated but not yet drained.
-    /// The `queued`/`chan_queued` accelerators are recomputed on load.
+    /// The `queued`/`chan_queued`/`due` accelerators are recomputed on
+    /// load.
     pub fn save_state(&self, w: &mut hmm_sim_base::snap::SnapWriter) {
         w.usize(self.channels.len());
         for ch in &self.channels {
@@ -321,6 +355,7 @@ impl<S: TelemetrySink> DramRegion<S> {
             self.chan_queued[i] = ch.pending() as u32;
         }
         self.queued = self.chan_queued.iter().map(|&q| q as usize).sum();
+        self.refresh_due();
         Ok(())
     }
 }
@@ -373,6 +408,7 @@ impl<S: TelemetrySink + Send> DramRegion<S> {
             self.queued -= out.len();
             self.completions.append(&mut out);
         }
+        self.refresh_due();
     }
 }
 
@@ -513,6 +549,7 @@ mod tests {
         par.flush_par();
         assert_eq!(seq.drain_completions(), par.drain_completions());
         assert_eq!(seq.stats(), par.stats());
+        assert_due_mirrors_channels(&par);
 
         // Interleaved timed advances, mirroring the controller's
         // per-access cadence.
@@ -525,12 +562,192 @@ mod tests {
                 let now = t.arrival + 500;
                 seq.advance(now);
                 par.advance_par(now);
+                assert_due_mirrors_channels(&par);
             }
         }
         seq.flush();
         par.flush_par();
         assert_eq!(seq.drain_completions(), par.drain_completions());
         assert_eq!(seq.stats(), par.stats());
+        assert_due_mirrors_channels(&par);
+    }
+
+    /// `due` is exact after every service path, and `min_due` is its
+    /// minimum.
+    fn assert_due_mirrors_channels<S: TelemetrySink>(r: &DramRegion<S>) {
+        for (i, ch) in r.channels.iter().enumerate() {
+            assert_eq!(r.due[i], ch.next_due(), "channel {i}: due must mirror next_due");
+        }
+        assert_eq!(r.min_due, r.due.iter().copied().min().unwrap_or(Cycle::MAX));
+    }
+
+    /// The reference the due-driven sweep must match: the same channels,
+    /// each advanced on every call while it holds any transaction.
+    struct EveryBusyChannel {
+        profile: DeviceProfile,
+        channels: Vec<Channel>,
+        out: Vec<Completion>,
+    }
+
+    impl EveryBusyChannel {
+        fn new(profile: DeviceProfile, kind: RegionKind) -> Self {
+            let timing = profile.timing.to_cpu(&CpuClock::default());
+            let channels = (0..profile.channels)
+                .map(|i| Channel::with_sink(profile, timing, PagePolicy::Open, NullSink, kind, i))
+                .collect();
+            EveryBusyChannel { profile, channels, out: Vec::new() }
+        }
+
+        fn enqueue(&mut self, txn: Transaction) {
+            let coord = self.profile.decode(txn.addr);
+            self.channels[coord.channel as usize].enqueue(txn, coord);
+        }
+
+        fn advance(&mut self, now: Cycle) {
+            for ch in self.channels.iter_mut().filter(|ch| ch.pending() > 0) {
+                ch.advance(now, SchedPolicy::FrFcfs, &mut self.out);
+            }
+        }
+
+        fn flush(&mut self) {
+            for ch in &mut self.channels {
+                ch.flush(SchedPolicy::FrFcfs, &mut self.out);
+            }
+        }
+
+        fn stats(&self) -> RegionStats {
+            let mut s = RegionStats::default();
+            for cs in self.channels.iter().map(Channel::stats) {
+                s.serviced += cs.serviced;
+                s.row_hits += cs.row_hits;
+                s.row_misses += cs.row_misses;
+                s.data_bus_busy += cs.data_bus_busy;
+                s.correctable_errors += cs.correctable_errors;
+                s.uncorrectable_errors += cs.uncorrectable_errors;
+                s.throttle_events += cs.throttle_events;
+                s.throttle_delay_cycles += cs.throttle_delay_cycles;
+            }
+            s
+        }
+    }
+
+    /// Boundary cases the seeded runs of [`due_sweep_run`] reached.
+    #[derive(Default)]
+    struct Reached {
+        skipped_whole_region: u64,
+        at_due: u64,
+        at_gate: u64,
+        just_before_due: u64,
+    }
+
+    /// Drive a region and the every-busy-channel reference with the same
+    /// demand and background traffic and the same advance times, chosen
+    /// to land just before, at and just after channels' due cycles, and
+    /// require identical completions (ids, order, timing, faults) and
+    /// stats after every step.
+    fn due_sweep_run(profile: DeviceProfile, kind: RegionKind, seed: u64, reached: &mut Reached) {
+        let mut rng = hmm_sim_base::SimRng::new(seed);
+        let mut region = DramRegion::with_sink(
+            profile,
+            &CpuClock::default(),
+            SchedPolicy::FrFcfs,
+            PagePolicy::Open,
+            NullSink,
+            kind,
+        );
+        let mut reference = EveryBusyChannel::new(profile, kind);
+        if seed.is_multiple_of(2) {
+            // Throttle windows delay issue inside `Channel::issue`; ECC
+            // rolls annotate completions. Neither may move `next_due`.
+            let plan = hmm_fault::FaultPlan {
+                seed,
+                flip_rate: 0.01,
+                uflip_rate: 0.005,
+                throttle: Some(hmm_fault::ThrottleSpec {
+                    region: hmm_fault::FaultRegion::Both,
+                    period: 20_000,
+                    duration: 2_000,
+                }),
+                ..hmm_fault::FaultPlan::default()
+            };
+            region.set_faults(plan);
+            for ch in &mut reference.channels {
+                ch.set_faults(plan);
+            }
+        }
+        let span = profile.channels as u64 * 64 * 8192;
+        let (mut clock, mut now, mut id) = (0u64, 0u64, 0u64);
+        for _ in 0..3_000 {
+            clock += rng.below(40);
+            for _ in 0..rng.below(4) {
+                let addr = rng.below(span) & !63;
+                let txn = if rng.chance(0.3) {
+                    let lines = [1, 1, 1, 8, 64][rng.below(5) as usize];
+                    Transaction::migration(id, clock + rng.below(200), addr, rng.chance(0.5), lines)
+                } else {
+                    Transaction::demand(id, clock, addr, rng.chance(0.3))
+                };
+                id += 1;
+                region.enqueue(txn);
+                reference.enqueue(txn);
+            }
+            // Advance to one side of a busy channel's due cycle, or jump.
+            let busy: Vec<usize> =
+                (0..region.due.len()).filter(|&i| region.due[i] != Cycle::MAX).collect();
+            let target = if busy.is_empty() || rng.chance(0.2) {
+                clock + rng.below(500)
+            } else {
+                let i = busy[rng.below(busy.len() as u64) as usize];
+                let due = region.due[i];
+                if due == region.channels[i].background_gate() {
+                    reached.at_gate += 1;
+                }
+                match rng.below(3) {
+                    0 => due.saturating_sub(1),
+                    1 => due,
+                    _ => due + 1,
+                }
+            };
+            now = now.max(target);
+            if now < region.min_due {
+                reached.skipped_whole_region += 1;
+            }
+            reached.at_due += region.due.iter().filter(|&&d| d == now).count() as u64;
+            reached.just_before_due += region.due.iter().filter(|&&d| d == now + 1).count() as u64;
+            region.advance(now);
+            reference.advance(now);
+            assert_due_mirrors_channels(&region);
+            assert_eq!(region.drain_completions(), std::mem::take(&mut reference.out));
+            assert_eq!(region.stats(), reference.stats());
+        }
+        region.flush();
+        reference.flush();
+        assert_eq!(region.drain_completions(), reference.out);
+        assert_eq!(region.stats(), reference.stats());
+        assert_eq!(region.pending(), 0);
+        assert_due_mirrors_channels(&region);
+        assert_eq!(region.min_due, Cycle::MAX);
+    }
+
+    /// The guarantee behind the due-driven sweep: skipping the channels
+    /// with nothing due changes nothing observable, on both device
+    /// profiles, with and without a fault plan (even seeds arm one).
+    #[test]
+    fn due_driven_sweep_matches_every_busy_channel_sweep() {
+        let mut total = Reached::default();
+        for (profile, kind) in [
+            (DeviceProfile::off_package_ddr3(), RegionKind::OffPackage),
+            (DeviceProfile::on_package(), RegionKind::OnPackage),
+        ] {
+            for seed in 1..=4 {
+                due_sweep_run(profile, kind, seed, &mut total);
+            }
+        }
+        // The seeds must reach every boundary the property is about.
+        assert!(total.skipped_whole_region > 0, "no advance skipped the whole region");
+        assert!(total.at_due > 0, "no advance landed on a due cycle");
+        assert!(total.just_before_due > 0, "no advance landed just before a due cycle");
+        assert!(total.at_gate > 0, "no advance targeted a background-gate due cycle");
     }
 
     #[test]

@@ -85,7 +85,8 @@ impl LruCache {
             return;
         }
         if let Some(&idx) = self.map.get(&key) {
-            // Same key, same deterministic body — just refresh recency.
+            // Same key: the same configuration's body, or a colliding
+            // configuration's, which displaces it. Refresh recency.
             self.slots[idx].body = body;
             self.unlink(idx);
             self.push_front(idx);

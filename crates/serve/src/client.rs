@@ -171,8 +171,6 @@ fn parse_response(raw: &[u8]) -> std::io::Result<HttpResponse> {
         .position(|w| w == b"\r\n\r\n")
         .ok_or_else(|| bad("response has no head/body separator"))?;
     let head = std::str::from_utf8(&raw[..split]).map_err(|_| bad("response head is not UTF-8"))?;
-    let body = String::from_utf8(raw[split + 4..].to_vec())
-        .map_err(|_| bad("response body is not UTF-8"))?;
 
     let mut lines = head.split("\r\n");
     let status_line = lines.next().unwrap_or_default();
@@ -188,16 +186,18 @@ fn parse_response(raw: &[u8]) -> std::io::Result<HttpResponse> {
         }
     }
     // Trust content-length over read-to-EOF only to truncate trailing
-    // garbage; the server always sends an exact length.
-    let trimmed = match headers
+    // garbage; the server always sends an exact length. Cut the bytes
+    // before decoding: a length may end inside a UTF-8 character.
+    let mut body = &raw[split + 4..];
+    if let Some(n) = headers
         .iter()
         .find(|(k, _)| k == "content-length")
         .and_then(|(_, v)| v.parse::<usize>().ok())
     {
-        Some(n) if n <= body.len() => body[..n].to_string(),
-        _ => body,
-    };
-    Ok(HttpResponse { status, headers, body: trimmed })
+        body = &body[..n.min(body.len())];
+    }
+    let body = String::from_utf8(body.to_vec()).map_err(|_| bad("response body is not UTF-8"))?;
+    Ok(HttpResponse { status, headers, body })
 }
 
 #[cfg(test)]
@@ -211,6 +211,17 @@ mod tests {
         assert_eq!(r.status, 429);
         assert_eq!(r.header("x-cache"), Some("miss"));
         assert_eq!(r.body, "{\"error\":\"q\"}");
+    }
+
+    #[test]
+    fn length_inside_a_utf8_character_is_invalid_data() {
+        // "é" is two bytes; a length of 1 cuts it in half.
+        let raw = "HTTP/1.1 200 OK\r\ncontent-length: 1\r\n\r\né".as_bytes();
+        let err = parse_response(raw).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A length on the character boundary still trims trailing bytes.
+        let raw = "HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\néxyz".as_bytes();
+        assert_eq!(parse_response(raw).unwrap().body, "é");
     }
 
     #[test]

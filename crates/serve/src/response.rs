@@ -66,6 +66,21 @@ pub fn render_run(canonical: &str, result: &RunResult) -> String {
     out.u64("digest", digest(result)).finish()
 }
 
+/// True when `body`, a [`render_run`] output, was rendered for
+/// `canonical`. The canonical text is a request's identity; the cache key
+/// is only its 64-bit `fxhash64`, which near-identical configurations can
+/// share, so every reuse found by key checks this before serving.
+pub fn renders_config(body: &str, canonical: &str) -> bool {
+    // The first `,"config":` is the field itself: a JSON string cannot
+    // hold an unescaped quote, so the workload name before it cannot
+    // fake one. The canonical text is one complete object, so matching
+    // it as a prefix up to the next field's comma matches it exactly.
+    const FIELD: &str = ",\"config\":";
+    body.find(FIELD)
+        .and_then(|at| body[at + FIELD.len()..].strip_prefix(canonical))
+        .is_some_and(|rest| rest.starts_with(','))
+}
+
 /// A stable fingerprint of the run's counters, included in the body so
 /// clients (and the determinism tests) can compare runs cheaply.
 fn digest(result: &RunResult) -> u64 {
@@ -161,6 +176,18 @@ mod tests {
             doc.get("access").unwrap().get("mean_latency_cycles").unwrap().as_f64().unwrap() > 0.0
         );
         assert!(doc.get("digest").unwrap().as_f64().is_some());
+    }
+
+    #[test]
+    fn renders_config_matches_only_the_embedded_config() {
+        let result = quick_result();
+        let canonical = r#"{"workload":"pgbench","seed":1}"#;
+        let body = render_run(canonical, &result);
+        assert!(renders_config(&body, canonical));
+        assert!(!renders_config(&body, r#"{"workload":"pgbench","seed":2}"#));
+        assert!(!renders_config(&body, r#"{"workload":"pgbench","seed":1"#), "a strict prefix");
+        assert!(!renders_config(&body, r#"{"workload":"pgbench"}"#));
+        assert!(!renders_config(r#"{"error":"x"}"#, canonical), "not a result body");
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! identical request admitted at any moment either sees the cache entry
 //! or joins the running job; it can never start a duplicate run.
 //!
+//! Both maps are indexed by the 64-bit cache key, but a request's
+//! identity is its canonical text: two configurations can share a key,
+//! so every reuse found by key — cached or stored body, in-flight job,
+//! checkpoint — is taken only if its canonical text matches, and is
+//! otherwise treated as absent.
+//!
 //! Graceful drain ([`Server::shutdown`], triggered by SIGTERM/ctrl-c in
 //! the binary or `POST /admin/shutdown`): stop accepting connections,
 //! stop admitting jobs (`503`), let the workers finish every queued job,
@@ -35,7 +41,7 @@ use crate::jobs::{Job, JobRegistry, JobState};
 use crate::metrics::{GaugeSample, ServerMetrics};
 use crate::queue::{Discipline, JobQueue, PushError};
 use crate::request::{parse_body, Limits, SimRequest};
-use crate::response::{error_body, job_status, render_run, trace_summary_json};
+use crate::response::{error_body, job_status, render_run, renders_config, trace_summary_json};
 use crate::store::Store;
 use crate::sweeps::{self, SweepRegistry};
 use crate::traces::TraceRegistry;
@@ -172,7 +178,8 @@ impl Shared {
     /// sweep runner.
     pub(crate) fn admit(&self, req: &SimRequest) -> Admitted {
         let mut admit = self.admit.lock().unwrap();
-        if let Some(body) = admit.cache.get(req.key) {
+        let for_req = |body: &Arc<String>| renders_config(body, &req.canonical);
+        if let Some(body) = admit.cache.get(req.key).filter(for_req) {
             self.metrics.inc(&self.metrics.accepted);
             self.metrics.inc(&self.metrics.cache_hits);
             return Admitted::Cached(body);
@@ -182,15 +189,14 @@ impl Shared {
         // the promotion back into the cache stays atomic with the
         // single-flight check; store reads are small and local.
         if let Some(store) = &self.store {
-            if let Some(body) = store.get(req.key, &self.metrics) {
-                let body = Arc::new(body);
+            if let Some(body) = store.get(req.key, &self.metrics).map(Arc::new).filter(for_req) {
                 admit.cache.insert(req.key, Arc::clone(&body));
                 self.metrics.inc(&self.metrics.accepted);
                 self.metrics.inc(&self.metrics.cache_hits);
                 return Admitted::Cached(body);
             }
         }
-        if let Some(job) = admit.inflight.get(&req.key) {
+        if let Some(job) = admit.inflight.get(&req.key).filter(|j| j.canonical == req.canonical) {
             self.metrics.inc(&self.metrics.accepted);
             self.metrics.inc(&self.metrics.cache_misses);
             self.metrics.inc(&self.metrics.coalesced);
@@ -341,15 +347,16 @@ impl Server {
             };
             let mut readmitted = 0usize;
             for key in store.checkpoint_keys() {
-                if shared.admit.lock().unwrap().cache.get(key).is_some() {
+                let Some((canonical, _)) = store.read_checkpoint(key, &shared.metrics) else {
+                    continue;
+                };
+                let cached = shared.admit.lock().unwrap().cache.get(key);
+                if cached.is_some_and(|body| renders_config(&body, &canonical)) {
                     // The result made it to disk before the crash; the
                     // checkpoint is moot.
                     store.remove_checkpoint(key);
                     continue;
                 }
-                let Some((canonical, _)) = store.read_checkpoint(key, &shared.metrics) else {
-                    continue;
-                };
                 match parse_body(&canonical, &shared.cfg.limits) {
                     Ok(sim) if sim.key == key => {
                         if matches!(shared.admit(&sim), Admitted::Pending(_)) {
@@ -839,7 +846,13 @@ fn run_job(shared: &Shared, job: &Job) -> RunResult {
         Some(store) if every > 0 => store,
         _ => return run_with_sink(&job.cfg, frames),
     };
-    if let Some((_, snap)) = store.read_checkpoint(job.key, &shared.metrics) {
+    // The checkpoint shelf is keyed like the cache: a checkpoint of a
+    // configuration that shares this job's key is not this job's. Its
+    // snapshot would pass `snapshot::open`, which checks only the key.
+    let own = store
+        .read_checkpoint(job.key, &shared.metrics)
+        .filter(|(canonical, _)| *canonical == job.canonical);
+    if let Some((_, snap)) = own {
         let mut sink = |_submitted: u64, bytes: Vec<u8>| {
             store.write_checkpoint(job.key, &job.canonical, &bytes, &shared.metrics);
         };

@@ -3,9 +3,10 @@
 //!
 //! A sweep submission expands its grid spec (via [`hmm_sweep::expand`]),
 //! parses every cell through the same [`parse_body`] that guards
-//! `POST /v1/simulate`, and deduplicates cells by canonical hash — two
+//! `POST /v1/simulate`, and deduplicates cells by canonical text — two
 //! spellings of one configuration coalesce exactly as they would in the
-//! result cache. A background runner thread then drives the cells to
+//! result cache, and two configurations that merely share a cache key
+//! stay two cells. A background runner thread then drives the cells to
 //! completion:
 //!
 //! * **Local mode** (no peers configured): every cell goes through
@@ -47,7 +48,7 @@ use hmm_sim_base::FxHashMap;
 use hmm_sweep::aggregate::figures_doc;
 use hmm_sweep::{expand, CellState, Ring, SweepCounts};
 use hmm_telemetry::{JsonArray, JsonObject};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -203,14 +204,14 @@ pub(crate) fn submit(shared: &Arc<Shared>, body: &str) -> Response {
     };
     let expanded = bodies.len() as u64;
     let mut cells: Vec<Cell> = Vec::new();
-    let mut seen: FxHashMap<u64, ()> = FxHashMap::default();
+    let mut seen = HashSet::new();
     for (i, cell_body) in bodies.iter().enumerate() {
         let sim = match parse_body(cell_body, &shared.cfg.limits) {
             Ok(sim) => sim,
             Err(msg) => return bad(shared, 400, &format!("cell {i}: {msg}")),
         };
-        if seen.insert(sim.key, ()).is_some() {
-            continue; // identical canonical hash: coalesce
+        if !seen.insert(sim.canonical.clone()) {
+            continue; // identical canonical text: coalesce
         }
         cells.push(Cell { sim, slot: Mutex::new(Slot::Pending), attempts: AtomicU64::new(0) });
     }

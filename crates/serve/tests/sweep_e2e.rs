@@ -77,7 +77,7 @@ fn in_process_figures(spec: &str) -> String {
     let mut seen = HashSet::new();
     for body in &bodies {
         let sim = parse_body(body, &limits).unwrap();
-        if seen.insert(sim.key) {
+        if seen.insert(sim.canonical.clone()) {
             sims.push(sim);
         }
     }
@@ -153,6 +153,33 @@ fn sweep_expands_dedups_and_matches_in_process_aggregate() {
     assert_eq!(post(addr, "/v1/sweeps", r#"{"workload":"x","mode":"live"}"#).status, 400);
     assert_eq!(get(addr, "/v1/sweeps").status, 405);
 
+    server.shutdown();
+}
+
+/// Dedup is by canonical text: two seeds whose canonical configs share
+/// an `fxhash64` cache key are still two cells with two results.
+#[test]
+fn cells_sharing_a_cache_key_are_not_deduped() {
+    let server =
+        Server::start(ServerConfig { workers: 2, conn_threads: 8, ..ServerConfig::default() })
+            .unwrap();
+    let addr = server.local_addr();
+    let spec = r#"{"workload":"pgbench","mode":"live","accesses":10000,"interval":1000,
+                   "scale":64,"seed":[1669855655857084,1669855655857834]}"#;
+    let keys: HashSet<u64> = expand(spec, 16)
+        .unwrap()
+        .iter()
+        .map(|body| parse_body(body, &Limits::default()).unwrap().key)
+        .collect();
+    assert_eq!(keys.len(), 1, "the two cells must share a key for this test to mean anything");
+
+    let (id, expanded, deduped, cells) = submit_sweep(addr, spec);
+    assert_eq!((expanded, deduped, cells), (2, 0, 2));
+    let (doc, counts) = wait_sweep(addr, id);
+    assert_eq!(doc.get("status").unwrap().as_str(), Some("done"));
+    assert_eq!(counts.done, 2);
+    let raw = get(addr, &format!("/v1/sweeps/{id}/figures"));
+    assert_eq!(raw.body, in_process_figures(spec), "each cell carries its own result");
     server.shutdown();
 }
 
