@@ -1,40 +1,155 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! figures <experiment> [--quick|--bench|--full] [--json]
+//! figures <experiment> [--quick|--bench|--full]
 //!
 //! experiments: table1 table2 table3 table4 fig4 fig5 fig10 fig11 fig12
-//!              fig13 fig14 fig15 fig16 all
+//!              fig13 fig14 fig15 fig16 adaptive all
 //! ```
 //!
 //! `--quick` (default) uses 1/64-scale footprints for a smoke run;
 //! `--bench` uses 1/8 scale (the setting used for EXPERIMENTS.md);
 //! `--full` uses the paper's exact sizes (hours of CPU time).
-//! `--json` additionally dumps the simulated rows as JSON lines on stdout
-//! (for the table/figure experiments that run simulations).
+//!
+//! Table IV and Figs. 11–16 are sweep specs checked in under
+//! `crates/bench/specs/`, one per grid. A spec carries only its figure's
+//! axes: the request defaults, which equal `--bench`, fill in the rest,
+//! and the other presets overlay their scale, access count and warm-up.
+//! Each grid runs through the sweep pipeline
+//! ([`hmm_bench::sweep::figures_from_spec`]) and its table is read from
+//! the result bodies of the `hmm-sweep-figures-v1` document, the same
+//! document `hmm-bench sweep --spec @<spec> --out <file>` writes and
+//! `POST /v1/sweeps` serves.
 
+use hmm_bench::jsonin::{self, Json};
+use hmm_bench::sweep::figures_from_spec;
 use hmm_bench::{cells, f1, f2, human_bytes, pct, render_table};
-use hmm_core::{hardware_bits, MigrationDesign};
+use hmm_core::{hardware_bits, MigrationDesign, Mode};
+use hmm_serve::request::Limits;
+use hmm_serve::ServerConfig;
 use hmm_sim_base::config::{LatencyConfig, MemoryGeometry, SimScale};
-use hmm_simulator::experiments::{
-    effectiveness_table, fig11_grid, fig15_capacity, fig16_power, GridConfig, INTERVALS,
-    PAGE_SHIFTS,
-};
+use hmm_sim_base::stats::effectiveness;
+use hmm_simulator::driver::{run, RunConfig};
 use hmm_simulator::ipc::{ipc_for, Fig5Option};
 use hmm_simulator::missrate::{fig4_capacities, l3_miss_rates};
+use hmm_sweep::spec::render_json;
 use hmm_workloads::{npb_footprint_mb, WorkloadId};
 
-fn grid_for(size: &str) -> GridConfig {
-    match size {
-        "--full" => GridConfig {
-            scale: SimScale::full(),
-            accesses: 20_000_000,
-            warmup: 2_000_000,
-            seed: 42,
-        },
-        "--bench" => GridConfig::bench(),
-        _ => GridConfig::quick(),
+const TABLE4: &str = include_str!("../../specs/table4.json");
+const FIG11: &str = include_str!("../../specs/fig11.json");
+const FIG12: &str = include_str!("../../specs/fig12.json");
+const FIG13: &str = include_str!("../../specs/fig13.json");
+const FIG14: &str = include_str!("../../specs/fig14.json");
+const FIG15: &str = include_str!("../../specs/fig15.json");
+const FIG16: &str = include_str!("../../specs/fig16.json");
+
+/// The trace seed of every experiment; the grid specs leave it to the
+/// request default, which is the same.
+const SEED: u64 = 42;
+
+/// The run size every simulated experiment shares.
+#[derive(Debug, Clone, Copy)]
+struct Preset {
+    scale: SimScale,
+    accesses: u64,
+    warmup: u64,
+}
+
+impl Preset {
+    fn for_flag(size: &str) -> Self {
+        let (divisor, accesses, warmup) = match size {
+            "--full" => (1, 20_000_000, 2_000_000),
+            // The sweep request defaults: 400K accesses, a fifth of them warm-up.
+            "--bench" => (8, 400_000, 80_000),
+            _ => (64, 60_000, 10_000),
+        };
+        Self { scale: SimScale { divisor }, accesses, warmup }
     }
+}
+
+/// One cell of a grid, read back from its `hmm-serve-sim-v1` result body.
+#[derive(Debug)]
+struct Cell {
+    workload: String,
+    mode: String,
+    page_shift: u32,
+    interval: u64,
+    on_package: u64,
+    latency: f64,
+    dram_core: f64,
+    on_fraction: f64,
+    power: f64,
+}
+
+/// `spec` with every field of the JSON object `fields` set, replacing the
+/// spec's own value where it has one (jq's `. + fields`).
+fn overlay(spec: &str, fields: &str) -> String {
+    let (Ok(Json::Obj(mut obj)), Ok(Json::Obj(extra))) =
+        (jsonin::parse(spec), jsonin::parse(fields))
+    else {
+        panic!("grid specs and their overlays are JSON objects");
+    };
+    for (name, value) in extra {
+        match obj.iter_mut().find(|(k, _)| *k == name) {
+            Some((_, slot)) => *slot = value,
+            None => obj.push((name, value)),
+        }
+    }
+    render_json(&Json::Obj(obj))
+}
+
+/// Run a checked-in grid at `preset`, with each of `narrow` overlaid in
+/// turn, and read its cells back in sweep order.
+fn run_spec(spec: &str, preset: &Preset, narrow: &[&str]) -> Vec<Cell> {
+    let size = format!(
+        r#"{{"scale":{},"accesses":{},"warmup":{}}}"#,
+        preset.scale.divisor, preset.accesses, preset.warmup
+    );
+    let spec = narrow.iter().fold(overlay(spec, &size), |spec, fields| overlay(&spec, fields));
+    // No access cap: a `--full` cell runs 20M accesses, ten times what a
+    // default server admits.
+    let no_cap = Limits { max_accesses: u64::MAX };
+    let doc = figures_from_spec(&spec, ServerConfig::default().max_sweep_cells, &no_cap)
+        .unwrap_or_else(|e| panic!("grid spec failed: {e}"));
+    result_cells(&doc)
+}
+
+/// The cells of a figures document, from its embedded result bodies.
+fn result_cells(doc: &str) -> Vec<Cell> {
+    let doc = jsonin::parse(doc).expect("the sweep pipeline renders valid JSON");
+    let bodies = doc.get("results").and_then(Json::as_arr).expect("document embeds its results");
+    let text = |v: Option<&Json>, name: &str| {
+        let s = v.and_then(|v| v.get(name)).and_then(Json::as_str);
+        s.unwrap_or_else(|| panic!("result body lacks '{name}'")).to_string()
+    };
+    let num = |v: Option<&Json>, name: &str| {
+        let n = v.and_then(|v| v.get(name)).and_then(Json::as_f64);
+        n.unwrap_or_else(|| panic!("result body lacks '{name}'"))
+    };
+    bodies
+        .iter()
+        .map(|body| {
+            let (config, access) = (body.get("config"), body.get("access"));
+            Cell {
+                workload: text(Some(body), "workload"),
+                mode: text(config, "mode"),
+                page_shift: num(config, "page_shift") as u32,
+                interval: num(config, "interval") as u64,
+                on_package: num(config, "on_package") as u64,
+                latency: num(access, "mean_latency_cycles"),
+                dram_core: num(access, "dram_core_mean"),
+                on_fraction: num(access, "on_package_fraction"),
+                // A run with no off-package traffic has no power ratio.
+                power: body.get("normalized_power").and_then(Json::as_f64).unwrap_or(0.0),
+            }
+        })
+        .collect()
+}
+
+/// A grid's cells, split per workload. The workload is the outermost
+/// sweep axis, so each workload's cells are contiguous.
+fn per_workload(grid: &[Cell]) -> impl Iterator<Item = &[Cell]> {
+    grid.chunk_by(|a, b| a.workload == b.workload)
 }
 
 fn table1() {
@@ -101,34 +216,43 @@ fn table3() {
     );
 }
 
-fn emit_json<T: hmm_telemetry::ToJson>(label: &str, rows: &[T]) {
-    if !std::env::args().any(|a| a == "--json") {
-        return;
-    }
-    for r in rows {
-        println!("JSON {label} {}", r.to_json());
-    }
+/// Table IV's reduction of one workload's cells: the static-mapping
+/// baseline, the best live-migration cell, and that cell's effectiveness η.
+///
+/// A static result does not depend on page size or interval, so the first
+/// static cell is the baseline. The best cell is the first minimum in cell
+/// order (page size outer, interval inner).
+fn table4_row(cells: &[Cell]) -> (&Cell, &Cell, f64) {
+    let stat = cells.iter().find(|c| c.mode == "static").expect("a static cell per workload");
+    let best = cells
+        .iter()
+        .filter(|c| c.mode == "live")
+        .min_by(|a, b| a.latency.total_cmp(&b.latency))
+        .expect("a live cell per workload");
+    let eta =
+        effectiveness(stat.latency, best.latency, best.dram_core).unwrap_or(0.0).clamp(0.0, 100.0);
+    (stat, best, eta)
 }
 
-fn table4(grid: &GridConfig) {
-    let rows_data =
-        effectiveness_table(grid, &WorkloadId::trace_study(), &[14, 16, 18, 20], &[1_000, 10_000]);
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
+fn table4(preset: &Preset) {
+    let grid = run_spec(TABLE4, preset, &[]);
+    let mut etas = Vec::new();
+    let rows: Vec<Vec<String>> = per_workload(&grid)
+        .map(|w| {
+            let (stat, best, eta) = table4_row(w);
+            etas.push(eta);
             cells([
-                r.workload.clone(),
-                f1(r.dram_core),
-                f1(r.latency_without),
-                f1(r.latency_with),
-                human_bytes(r.best_page_bytes),
-                r.best_interval.to_string(),
-                pct(r.effectiveness_pct),
+                best.workload.clone(),
+                f1(best.dram_core),
+                f1(stat.latency),
+                f1(best.latency),
+                human_bytes(1 << best.page_shift),
+                best.interval.to_string(),
+                pct(eta),
             ])
         })
         .collect();
-    emit_json("table4", &rows_data);
-    let avg = rows_data.iter().map(|r| r.effectiveness_pct).sum::<f64>() / rows_data.len() as f64;
+    let avg = etas.iter().sum::<f64>() / etas.len() as f64;
     print!(
         "{}",
         render_table(
@@ -148,11 +272,11 @@ fn table4(grid: &GridConfig) {
     println!("Average effectiveness: {avg:.1}%  (paper: 83%)");
 }
 
-fn fig4(grid: &GridConfig) {
+fn fig4(preset: &Preset) {
     let caps = fig4_capacities();
     let mut rows = Vec::new();
     for id in WorkloadId::npb_all() {
-        let rates = l3_miss_rates(id, &caps, grid.accesses.min(2_000_000), &grid.scale, grid.seed);
+        let rates = l3_miss_rates(id, &caps, preset.accesses.min(2_000_000), &preset.scale, SEED);
         let mut row = vec![id.name().to_string()];
         row.extend(rates.iter().map(|(_, r)| pct(r * 100.0)));
         rows.push(row);
@@ -163,15 +287,15 @@ fn fig4(grid: &GridConfig) {
     print!("{}", render_table("Fig. 4: LLC miss rate vs. capacity", &hdr_refs, &rows));
 }
 
-fn fig5(grid: &GridConfig) {
+fn fig5(preset: &Preset) {
     let gb = 1u64 << 30;
-    let n = grid.accesses.min(1_000_000);
+    let n = preset.accesses.min(1_000_000);
     let mut rows = Vec::new();
     for id in WorkloadId::npb_all() {
-        let base = ipc_for(id, Fig5Option::Baseline, gb, n, &grid.scale, grid.seed);
+        let base = ipc_for(id, Fig5Option::Baseline, gb, n, &preset.scale, SEED);
         let mut row = vec![id.name().to_string(), f2(base.ipc)];
         for opt in [Fig5Option::L4Cache, Fig5Option::StaticMapping, Fig5Option::AllOnPackage] {
-            let r = ipc_for(id, opt, gb, n, &grid.scale, grid.seed);
+            let r = ipc_for(id, opt, gb, n, &preset.scale, SEED);
             row.push(format!("{:+.1}%", (r.ipc / base.ipc - 1.0) * 100.0));
         }
         rows.push(row);
@@ -212,58 +336,78 @@ fn fig10() {
     println!("(paper: 9,228 bits at 4MB granularity)");
 }
 
-fn fig11(grid: &GridConfig, interval: u64) {
-    let shifts: &[u32] = if grid.scale.divisor > 16 { &[14, 16, 18] } else { &PAGE_SHIFTS };
-    let rows_data = fig11_grid(
-        grid,
-        interval,
-        &WorkloadId::trace_study(),
-        shifts,
-        &[MigrationDesign::N, MigrationDesign::NMinusOne, MigrationDesign::LiveMigration],
-    );
-    emit_json("fig11", &rows_data);
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
-            cells([
-                r.workload.clone(),
-                human_bytes(r.page_bytes),
-                r.design.clone(),
-                f1(r.mean_latency),
-                f2(r.on_fraction),
-            ])
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &format!("Fig. 11: average memory latency (swap interval = {interval} accesses)"),
-            &["Workload", "Page", "Design", "Avg latency (cyc)", "On-pkg frac"],
-            &rows
-        )
-    );
+/// `--quick` narrows Figs. 11–14 to 16K, 64K and 256K pages.
+fn quick_pages(preset: &Preset) -> &'static str {
+    if preset.scale.divisor > 16 {
+        r#"{"page_shift":[14,16,18]}"#
+    } else {
+        "{}"
+    }
 }
 
-fn fig12_14(grid: &GridConfig, interval: u64, fig: u32) {
-    let shifts: &[u32] = if grid.scale.divisor > 16 { &[14, 16, 18] } else { &PAGE_SHIFTS };
-    let rows_data = fig11_grid(
-        grid,
-        interval,
-        &WorkloadId::trace_study(),
-        shifts,
-        &[MigrationDesign::LiveMigration],
-    );
-    let rows: Vec<Vec<String>> = rows_data
-        .iter()
-        .map(|r| {
+/// The figures' name for a migration design's mode token.
+fn design_label(mode: &str) -> &str {
+    match mode {
+        "n" => "N",
+        "n-1" => "N-1",
+        "live" => "Live",
+        other => other,
+    }
+}
+
+/// Fig. 11 rows at one swap interval. Cells expand as workload × design ×
+/// page size; the figure reads workload × page size × design.
+fn fig11_rows(grid: &[Cell], interval: u64) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for w in per_workload(grid) {
+        let mut at: Vec<&Cell> = w.iter().filter(|c| c.interval == interval).collect();
+        // A stable sort: each page size keeps the designs in spec order.
+        at.sort_by_key(|c| c.page_shift);
+        rows.extend(at.iter().map(|c| {
             cells([
-                r.workload.clone(),
-                human_bytes(r.page_bytes),
-                f1(r.mean_latency),
-                f2(r.on_fraction),
+                c.workload.clone(),
+                human_bytes(1 << c.page_shift),
+                design_label(&c.mode).to_string(),
+                f1(c.latency),
+                f2(c.on_fraction),
+            ])
+        }));
+    }
+    rows
+}
+
+/// Fig. 11: one table per swap interval in the grid.
+fn fig11(preset: &Preset, narrow: &[&str]) {
+    let grid = run_spec(FIG11, preset, narrow);
+    let mut intervals: Vec<u64> = grid.iter().map(|c| c.interval).collect();
+    intervals.sort_unstable();
+    intervals.dedup();
+    for interval in intervals {
+        print!(
+            "{}",
+            render_table(
+                &format!("Fig. 11: average memory latency (swap interval = {interval} accesses)"),
+                &["Workload", "Page", "Design", "Avg latency (cyc)", "On-pkg frac"],
+                &fig11_rows(&grid, interval)
+            )
+        );
+    }
+}
+
+fn fig12_14(preset: &Preset, spec: &str, fig: u32) {
+    let grid = run_spec(spec, preset, &[quick_pages(preset)]);
+    let rows: Vec<Vec<String>> = grid
+        .iter()
+        .map(|c| {
+            cells([
+                c.workload.clone(),
+                human_bytes(1 << c.page_shift),
+                f1(c.latency),
+                f2(c.on_fraction),
             ])
         })
         .collect();
+    let interval = grid[0].interval;
     print!(
         "{}",
         render_table(
@@ -274,24 +418,31 @@ fn fig12_14(grid: &GridConfig, interval: u64, fig: u32) {
     );
 }
 
-fn fig15(grid: &GridConfig) {
-    let rows_data = fig15_capacity(
-        grid,
-        &WorkloadId::trace_study(),
-        &[128 << 20, 256 << 20, 512 << 20],
-        16,
-        1_000,
-    );
-    emit_json("fig15", &rows_data);
-    let rows: Vec<Vec<String>> = rows_data
+/// Fig. 15's bar groups: each live-migration cell with the static-mapping
+/// cell of the same workload and on-package capacity.
+fn fig15_pairs(grid: &[Cell]) -> Vec<(&Cell, &Cell)> {
+    grid.iter()
+        .filter(|c| c.mode == "live")
+        .map(|live| {
+            let stat = grid.iter().find(|c| {
+                c.mode == "static" && c.workload == live.workload && c.on_package == live.on_package
+            });
+            (live, stat.expect("a static cell per workload and capacity"))
+        })
+        .collect()
+}
+
+fn fig15(preset: &Preset) {
+    let grid = run_spec(FIG15, preset, &[]);
+    let rows: Vec<Vec<String>> = fig15_pairs(&grid)
         .iter()
-        .map(|r| {
+        .map(|(live, stat)| {
             cells([
-                r.workload.clone(),
-                human_bytes(r.on_package_bytes),
-                f1(r.dram_core),
-                f1(r.with_migration),
-                f1(r.without_migration),
+                live.workload.clone(),
+                human_bytes(live.on_package),
+                f1(live.dram_core),
+                f1(live.latency),
+                f1(stat.latency),
             ])
         })
         .collect();
@@ -305,17 +456,16 @@ fn fig15(grid: &GridConfig) {
     );
 }
 
-fn fig16(grid: &GridConfig) {
-    let rows_data = fig16_power(grid, &WorkloadId::trace_study(), &[12, 14, 16], &INTERVALS);
-    emit_json("fig16", &rows_data);
-    let rows: Vec<Vec<String>> = rows_data
+fn fig16(preset: &Preset) {
+    let grid = run_spec(FIG16, preset, &[]);
+    let rows: Vec<Vec<String>> = grid
         .iter()
-        .map(|r| {
+        .map(|c| {
             cells([
-                r.workload.clone(),
-                human_bytes(r.page_bytes),
-                r.interval.to_string(),
-                f2(r.normalized_power),
+                c.workload.clone(),
+                human_bytes(1 << c.page_shift),
+                c.interval.to_string(),
+                f2(c.power),
             ])
         })
         .collect();
@@ -331,12 +481,10 @@ fn fig16(grid: &GridConfig) {
 
 /// Extension demo: the adaptive-granularity controller vs. fixed
 /// granularities (not a paper figure; see DESIGN.md section 6b).
-fn adaptive_demo(grid: &GridConfig) {
+fn adaptive_demo(preset: &Preset) {
     use hmm_core::{AdaptiveConfig, AdaptiveController, ControllerConfig};
     use hmm_sim_base::addr::PhysAddr;
     use hmm_sim_base::config::MachineConfig;
-    use hmm_simulator::driver::RunConfig;
-    use hmm_simulator::experiments::run_cell;
     use hmm_workloads::workload;
 
     let mut rows = Vec::new();
@@ -344,20 +492,22 @@ fn adaptive_demo(grid: &GridConfig) {
         // Fixed granularities via the normal driver.
         let mut fixed = Vec::new();
         for shift in [14u32, 16, 18] {
-            let r = run_cell(
-                grid,
-                w,
-                hmm_core::Mode::Dynamic(MigrationDesign::LiveMigration),
-                shift,
-                1_000,
-            );
+            let r = run(&RunConfig {
+                page_shift: shift,
+                swap_interval: 1_000,
+                scale: preset.scale,
+                accesses: preset.accesses,
+                warmup: preset.warmup,
+                seed: SEED,
+                ..RunConfig::paper(w, Mode::Dynamic(MigrationDesign::LiveMigration))
+            });
             fixed.push((shift, r.mean_latency()));
         }
         // The adaptive controller over the same stream.
         let rc = RunConfig {
-            scale: grid.scale,
+            scale: preset.scale,
             page_shift: 16,
-            ..RunConfig::paper(w, hmm_core::Mode::Dynamic(MigrationDesign::LiveMigration))
+            ..RunConfig::paper(w, Mode::Dynamic(MigrationDesign::LiveMigration))
         };
         let base = ControllerConfig {
             machine: MachineConfig { geometry: rc.geometry(), ..Default::default() },
@@ -368,15 +518,15 @@ fn adaptive_demo(grid: &GridConfig) {
         let mut ctrl = AdaptiveController::new(
             AdaptiveConfig {
                 candidate_shifts: vec![14, 16, 18],
-                trial_accesses: grid.accesses / 8,
+                trial_accesses: preset.accesses / 8,
                 reexplore_after: None,
             },
             base,
         );
-        let wl = workload(w, &grid.scale);
+        let wl = workload(w, &preset.scale);
         let mut total = 0u128;
         let mut n = 0u64;
-        for rec in wl.iter(grid.seed).take(grid.accesses as usize) {
+        for rec in wl.iter(SEED).take(preset.accesses as usize) {
             ctrl.access(rec.tick, PhysAddr(rec.addr.0), rec.is_write);
             ctrl.advance(rec.tick);
             for c in ctrl.drain() {
@@ -424,9 +574,8 @@ fn main() {
     for a in &args {
         match a.as_str() {
             s @ ("--quick" | "--bench" | "--full") => size = s,
-            "--json" => {} // read by emit_json directly
             flag if flag.starts_with('-') => {
-                fail(&format!("unknown flag '{flag}' (flags: --quick --bench --full --json)"))
+                fail(&format!("unknown flag '{flag}' (flags: --quick --bench --full)"))
             }
             exp => {
                 if let Some(prev) = &what {
@@ -444,46 +593,135 @@ fn main() {
     if !EXPERIMENTS.contains(&what) {
         fail(&format!("unknown experiment '{what}' (experiments: {})", EXPERIMENTS.join(" ")));
     }
-    let grid = grid_for(size);
+    let preset = Preset::for_flag(size);
     eprintln!(
         "[figures] {what} at scale 1/{} ({} accesses per run)",
-        grid.scale.divisor, grid.accesses
+        preset.scale.divisor, preset.accesses
     );
 
     match what {
         "table1" => table1(),
         "table2" => table2(),
         "table3" => table3(),
-        "table4" => table4(&grid),
-        "fig4" => fig4(&grid),
-        "fig5" => fig5(&grid),
+        "table4" => table4(&preset),
+        "fig4" => fig4(&preset),
+        "fig5" => fig5(&preset),
         "fig10" => fig10(),
-        "fig11" => {
-            for iv in INTERVALS {
-                fig11(&grid, iv);
-            }
-        }
-        "fig12" => fig12_14(&grid, 1_000, 12),
-        "fig13" => fig12_14(&grid, 10_000, 13),
-        "fig14" => fig12_14(&grid, 100_000, 14),
-        "fig15" => fig15(&grid),
-        "fig16" => fig16(&grid),
-        "adaptive" => adaptive_demo(&grid),
+        "fig11" => fig11(&preset, &[quick_pages(&preset)]),
+        "fig12" => fig12_14(&preset, FIG12, 12),
+        "fig13" => fig12_14(&preset, FIG13, 13),
+        "fig14" => fig12_14(&preset, FIG14, 14),
+        "fig15" => fig15(&preset),
+        "fig16" => fig16(&preset),
+        "adaptive" => adaptive_demo(&preset),
         "all" => {
             table1();
             table2();
             table3();
             fig10();
-            fig4(&grid);
-            fig5(&grid);
-            fig11(&grid, 1_000);
-            fig12_14(&grid, 1_000, 12);
-            fig12_14(&grid, 10_000, 13);
-            fig12_14(&grid, 100_000, 14);
-            fig15(&grid);
-            fig16(&grid);
-            table4(&grid);
+            fig4(&preset);
+            fig5(&preset);
+            fig11(&preset, &[quick_pages(&preset), r#"{"interval":1000}"#]);
+            fig12_14(&preset, FIG12, 12);
+            fig12_14(&preset, FIG13, 13);
+            fig12_14(&preset, FIG14, 14);
+            fig15(&preset);
+            fig16(&preset);
+            table4(&preset);
         }
         other => unreachable!("'{other}' was validated against EXPERIMENTS above"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hmm_serve::request::parse_body;
+    use hmm_sweep::expand;
+
+    fn quick() -> Preset {
+        Preset::for_flag("--quick")
+    }
+
+    #[test]
+    fn a_default_server_accepts_every_checked_in_spec() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/specs");
+        let max_cells = ServerConfig::default().max_sweep_cells;
+        let mut specs = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let spec = std::fs::read_to_string(&path).unwrap();
+            let cells =
+                expand(&spec, max_cells).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            for body in &cells {
+                parse_body(body, &Limits::default())
+                    .unwrap_or_else(|e| panic!("{}: {body}: {e}", path.display()));
+            }
+            specs += 1;
+        }
+        assert_eq!(specs, 7, "one spec per grid: Table IV and Figs. 11-16");
+    }
+
+    #[test]
+    fn overlay_replaces_and_appends_fields() {
+        let spec = overlay(
+            r#"{"workload":["mg"],"page_shift":[12,14]}"#,
+            r#"{"page_shift":16,"scale":64}"#,
+        );
+        assert_eq!(spec, r#"{"workload":["mg"],"page_shift":16,"scale":64}"#);
+    }
+
+    #[test]
+    fn fig11_rows_read_workload_then_page_then_design() {
+        let narrow =
+            r#"{"workload":"pgbench","mode":["n-1","live"],"page_shift":[14,16],"interval":2000}"#;
+        let grid = run_spec(FIG11, &quick(), &[narrow]);
+        assert_eq!(grid.len(), 4);
+        assert!(grid.iter().all(|c| c.latency > 0.0 && c.interval == 2_000), "{grid:?}");
+        let axes: Vec<(String, String)> =
+            fig11_rows(&grid, 2_000).into_iter().map(|r| (r[1].clone(), r[2].clone())).collect();
+        let want = [("16KB", "N-1"), ("16KB", "Live"), ("64KB", "N-1"), ("64KB", "Live")];
+        assert_eq!(axes, want.map(|(p, d)| (p.to_string(), d.to_string())));
+    }
+
+    #[test]
+    fn table4_row_is_consistent() {
+        let narrow = r#"{"workload":"pgbench","page_shift":16,"interval":2000}"#;
+        let grid = run_spec(TABLE4, &quick(), &[narrow]);
+        let (stat, best, eta) = table4_row(&grid);
+        assert!(best.latency < stat.latency, "{best:?} vs {stat:?}");
+        assert!(eta > 0.0 && eta <= 100.0, "{eta}");
+        assert!(best.dram_core < best.latency, "{best:?}");
+    }
+
+    #[test]
+    fn fig15_migration_tracks_capacity() {
+        let narrow = r#"{"workload":"specjbb","interval":2000,"on_package":["128M","512M"]}"#;
+        let grid = run_spec(FIG15, &quick(), &[narrow]);
+        let pairs = fig15_pairs(&grid);
+        assert_eq!(pairs.len(), 2);
+        let (small, large) = (pairs[0].0, pairs[1].0);
+        assert_eq!((small.on_package, large.on_package), (128 << 20, 512 << 20));
+        // Larger on-package memory can only help (allow small noise).
+        assert!(large.latency <= small.latency * 1.05, "large {large:?} vs small {small:?}");
+        // Migration stays below no-migration at every capacity (the
+        // paper's Fig. 15 observation).
+        for (live, stat) in &pairs {
+            assert!(live.latency < stat.latency, "{live:?} vs {stat:?}");
+        }
+    }
+
+    #[test]
+    fn fig16_power_rises_with_migration_frequency() {
+        let narrow = r#"{"workload":"pgbench","page_shift":14,"interval":[1000,20000]}"#;
+        let grid = run_spec(FIG16, &quick(), &[narrow]);
+        let (fast, slow) = (&grid[0], &grid[1]);
+        assert_eq!((fast.interval, slow.interval), (1_000, 20_000));
+        assert!(
+            fast.power >= slow.power,
+            "more frequent swapping must not cost less power: fast {} slow {}",
+            fast.power,
+            slow.power
+        );
     }
 }

@@ -30,6 +30,7 @@ use std::fs;
 
 use hmm_bench::{cells, f1, render_table};
 use hmm_bench::{perf, sweep};
+use hmm_serve::request::Limits;
 
 fn usage() -> ! {
     eprintln!(
@@ -293,7 +294,9 @@ fn cmd_sweep(args: &[String]) -> ! {
                 .unwrap_or_else(|e| abort(&format!("reading sweep spec '{path}': {e}"))),
             None => spec.clone(),
         };
-        sweep::figures_from_spec(&spec_text, a.max_cells)
+        // The server's default admission limit, so the document equals
+        // what a default `hmm-serve` answers for the same spec.
+        sweep::figures_from_spec(&spec_text, a.max_cells, &Limits::default())
             .unwrap_or_else(|e| abort(&format!("sweep failed: {e}")))
     } else {
         let path = a.doc.as_deref().unwrap();

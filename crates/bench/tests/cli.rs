@@ -255,6 +255,9 @@ fn figures_rejects_invalid_input_with_one_line() {
     assert_one_line_exit2(&run(bin, &["fig99"]), "fig99");
     assert_one_line_exit2(&run(bin, &["--fast"]), "--fast");
     assert_one_line_exit2(&run(bin, &["table1", "table2"]), "more than one");
+    // A figure's machine-readable form is its sweep document
+    // (`hmm-bench sweep --spec @crates/bench/specs/<grid>.json --out`).
+    assert_one_line_exit2(&run(bin, &["table4", "--json"]), "--json");
 }
 
 /// Valid invocations of the cheap experiments still succeed after the

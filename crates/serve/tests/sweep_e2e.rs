@@ -3,13 +3,13 @@
 //! admission, the coordinator topology surviving a SIGKILLed peer, and
 //! — the acceptance bar — the served figures document reconciling
 //! byte-for-byte with an in-process run over the same cells via
-//! `hmm_simulator::experiments::run_grid`.
+//! `hmm_simulator::run_grid`.
 
 use hmm_serve::client::{request, HttpResponse};
 use hmm_serve::request::{parse_body, Limits};
 use hmm_serve::response::render_run;
 use hmm_serve::{Server, ServerConfig};
-use hmm_simulator::experiments::run_grid;
+use hmm_simulator::run_grid;
 use hmm_sweep::spec::render_json;
 use hmm_sweep::{expand, Ring, SweepCounts};
 use hmm_telemetry::jsonin::{self, Json};
@@ -68,7 +68,7 @@ fn wait_sweep(addr: SocketAddr, id: u64) -> (Json, SweepCounts) {
 }
 
 /// The reference path: expand + parse + dedup exactly as the server
-/// does, run the cells in-process through the experiments grid runner,
+/// does, run the cells in-process through the simulator's grid runner,
 /// render each result with the serving renderer, and aggregate.
 fn in_process_figures(spec: &str) -> String {
     let bodies = expand(spec, 1024).unwrap();
@@ -82,7 +82,7 @@ fn in_process_figures(spec: &str) -> String {
         }
     }
     let cfgs: Vec<_> = sims.iter().map(|s| s.cfg).collect();
-    let (results, _totals) = run_grid(&cfgs);
+    let results = run_grid(&cfgs);
     let rendered: Vec<String> =
         sims.iter().zip(&results).map(|(s, r)| render_run(&s.canonical, r)).collect();
     hmm_sweep::aggregate::figures_doc(&rendered).unwrap()

@@ -16,6 +16,7 @@ use hmm_core::{
 use hmm_dram::{DeviceProfile, RegionStats, SchedPolicy, WearStats};
 use hmm_fault::FaultPlan;
 use hmm_sim_base::config::{MachineConfig, MemoryGeometry, SimScale};
+use hmm_sim_base::par_map;
 use hmm_sim_base::snap::{SnapReader, SnapWriter};
 use hmm_sim_base::stats::{AccessStats, LatencyBreakdown};
 use hmm_telemetry::{NullSink, TelemetrySink};
@@ -271,6 +272,17 @@ pub fn run(cfg: &RunConfig) -> RunResult {
     run_with_sink(cfg, NullSink)
 }
 
+/// Run independent configurations in parallel ([`par_map`]), returning
+/// their results in input order.
+///
+/// This is the in-process twin of an `hmm-serve` sweep: the serving
+/// layer expands a grid spec into exactly such a list of resolved
+/// [`RunConfig`]s, and every run is deterministic, so the result for a
+/// cell never depends on how the list was split across threads.
+pub fn run_grid(cfgs: &[RunConfig]) -> Vec<RunResult> {
+    par_map(cfgs.to_vec(), |cfg| run(&cfg))
+}
+
 /// Execute one simulation run, reporting telemetry events into `sink`.
 ///
 /// The sink is threaded through the controller into both DRAM regions, so
@@ -489,6 +501,26 @@ mod tests {
             "every post-warm-up access must be recorded exactly once"
         );
         assert!(r.mean_latency() > 0.0);
+    }
+
+    #[test]
+    fn run_grid_keeps_input_order_and_matches_sequential_runs() {
+        let live = Mode::Dynamic(MigrationDesign::LiveMigration);
+        let cfgs = [
+            RunConfig { page_shift: 14, ..RunConfig::quick(WorkloadId::Pgbench, Mode::Static) },
+            RunConfig::quick(WorkloadId::Pgbench, live),
+            RunConfig::quick(WorkloadId::SpecJbb, live),
+        ];
+        let results = run_grid(&cfgs);
+        assert_eq!(results.len(), cfgs.len());
+        for (cfg, r) in cfgs.iter().zip(&results) {
+            let seq = run(cfg);
+            assert_eq!(r.geometry.page_shift, cfg.page_shift, "results must keep input order");
+            assert_eq!(r.workload, seq.workload);
+            assert_eq!(r.controller, seq.controller);
+            assert_eq!(r.swaps, seq.swaps);
+            assert_eq!(r.mean_latency().to_bits(), seq.mean_latency().to_bits());
+        }
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!
 //! Counter parse-back is exact: every `ControllerStats`/`SwapStats`
 //! field is a `u64` far below 2^53, so the `f64`-typed JSON reader
-//! loses nothing, and the merged totals reconcile field-for-field with
-//! `hmm_simulator::experiments::SweepTotals` over the same cells. The
-//! renderers these parsers invert ([`controller_json`], [`swaps_json`])
-//! live here so the contract has one home; `hmm-serve` re-exports them.
+//! loses nothing, and the merged totals equal the
+//! [`ControllerStats::merge`]/[`SwapStats::merge`] fold of the same
+//! cells' `RunResult`s field for field. The renderers these parsers
+//! invert ([`controller_json`], [`swaps_json`]) live here so the
+//! contract has one home; `hmm-serve` re-exports them.
 
 use hmm_core::{ControllerStats, SwapStats};
 use hmm_telemetry::jsonin::{self, Json};
@@ -108,10 +109,8 @@ pub fn swaps_from_json(v: &Json) -> Result<SwapStats, String> {
     })
 }
 
-/// Counters accumulated across a sweep's cells — the wire-side twin of
-/// `hmm_simulator::experiments::SweepTotals`, built from result bodies
-/// instead of live `RunResult`s. The two reconcile exactly over the
-/// same cells.
+/// Counters accumulated across a sweep's cells, built from result
+/// bodies: the exact merge of the cells' controller and swap counters.
 #[derive(Debug, Clone, Default)]
 pub struct Totals {
     /// Result bodies folded in.

@@ -13,7 +13,7 @@
 //!   controller with its translation table and migration engine.
 //! * [`fault`] — deterministic fault injection: seeded fault plans,
 //!   SECDED ECC outcomes, stuck banks, throttle windows, transfer faults.
-//! * [`simulator`] — trace-driven system simulation and experiment sweeps.
+//! * [`simulator`] — trace-driven system simulation, one run or a parallel grid.
 //! * [`power`] — the pJ/bit energy model.
 //! * [`serve`] — the concurrent simulation-serving subsystem: HTTP API,
 //!   bounded job queue, worker pool, deterministic result cache.
