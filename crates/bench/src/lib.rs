@@ -1,12 +1,9 @@
-//! Shared plumbing for the figure-regeneration harness and the
-//! microbenches: text-table formatting, experiment presets, and a small
-//! Criterion-compatible benchmark harness ([`harness`]).
+//! Shared plumbing for the figure-regeneration binaries: text-table
+//! formatting and the in-process sweep pipeline ([`sweep`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod harness;
-pub mod perf;
 pub mod sweep;
 
 /// The workspace JSON reader now lives beside the writer in

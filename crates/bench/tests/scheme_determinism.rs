@@ -8,7 +8,8 @@
 //!   for every workload × mode combination at the quick golden scale,
 //!   compared byte-for-byte (the default scheme must not even gain a
 //!   report line);
-//! * the perf suite's sim-stat digests, pinned to the values the suite
+//! * the sim-stat digests of nine quick runs (the N, N−1 and live
+//!   designs × pgbench, SPECjbb and MG), pinned to the values they
 //!   produced *before* the refactor — a digest is FNV-1a over the exact
 //!   simulated counters, so any behavioural drift (not just formatting)
 //!   trips it.
@@ -21,7 +22,10 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use hmm_bench::perf::{scenario_digest, suite};
+use hmm_core::MigrationDesign::{self, LiveMigration, NMinusOne, N};
+use hmm_core::Mode;
+use hmm_simulator::driver::{run, RunConfig, RunResult};
+use hmm_workloads::WorkloadId::{self, Mg, Pgbench, SpecJbb};
 
 const WORKLOADS: [&str; 3] = ["pgbench", "specjbb", "mg"];
 const MODES: [&str; 6] = ["off", "on", "static", "n", "n-1", "live"];
@@ -111,29 +115,85 @@ fn scheme_stdout_matches_goldens() {
     }
 }
 
-/// Digests the perf suite produced at the commit *before* the scheme
-/// framework landed. `scenario_digest` hashes exact simulated counters,
-/// so this catches behavioural drift that formatting-level goldens
-/// cannot (and vice versa).
-const PINNED_QUICK_DIGESTS: [(&str, u64); 9] = [
-    ("n/pgbench", 0xf70153371ccf09d2),
-    ("n/specjbb", 0x04421fab8de99841),
-    ("n/mg", 0x32e8f2e81aa76ae2),
-    ("n1/pgbench", 0xb8d9f134ba6b6927),
-    ("n1/specjbb", 0x34b4c4ffe67ecb29),
-    ("n1/mg", 0x7408f860572b2758),
-    ("live/pgbench", 0x6023177b129c24c3),
-    ("live/specjbb", 0x4f426585f9a8c123),
-    ("live/mg", 0x36c9eb005f866bff),
+/// FNV-1a over the exact simulated counters of one run, in a fixed
+/// order. Every input is an integer total — no floats — so equal
+/// digests mean bit-identical simulated behaviour. A `u128` total
+/// enters as its low word, then its high word.
+fn digest_of(r: &RunResult) -> u64 {
+    let a = &r.access;
+    let mut words = vec![a.reads, a.writes, a.on_package_hits, a.latency.count()];
+    for total in [
+        a.latency.total(),
+        a.dram_core.total(),
+        a.queuing.total(),
+        a.controller.total(),
+        a.interconnect.total(),
+    ] {
+        words.extend([total as u64, (total >> 64) as u64]);
+    }
+    words.extend([a.histogram.count(), a.histogram.max()]);
+    let c = &r.controller;
+    words.extend([
+        c.demand_on_lines,
+        c.demand_off_lines,
+        c.migration_on_lines,
+        c.migration_off_lines,
+        c.stall_cycles,
+        c.epochs,
+        c.rejected_triggers,
+        c.transfer_retries,
+        c.transfers_dropped,
+        c.transfers_timed_out,
+        c.transfers_ecc_failed,
+        c.abandoned_sub_blocks,
+        c.row_corruptions,
+        c.slots_quarantined,
+    ]);
+    if let Some(s) = &r.swaps {
+        words.extend([
+            s.triggered,
+            s.completed,
+            s.sub_blocks_copied,
+            s.aborted,
+            s.rolled_back_sub_blocks,
+            s.quarantine_drains,
+        ]);
+    }
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Digests of nine quick runs (seed 42, 150k accesses, 20k warm-up) at
+/// the commit *before* the scheme framework landed. [`digest_of`]
+/// hashes exact simulated counters, so this catches behavioural drift
+/// that formatting-level goldens cannot (and vice versa).
+const PINNED_QUICK_DIGESTS: [(MigrationDesign, WorkloadId, u64); 9] = [
+    (N, Pgbench, 0xf70153371ccf09d2),
+    (N, SpecJbb, 0x04421fab8de99841),
+    (N, Mg, 0x32e8f2e81aa76ae2),
+    (NMinusOne, Pgbench, 0xb8d9f134ba6b6927),
+    (NMinusOne, SpecJbb, 0x34b4c4ffe67ecb29),
+    (NMinusOne, Mg, 0x7408f860572b2758),
+    (LiveMigration, Pgbench, 0x6023177b129c24c3),
+    (LiveMigration, SpecJbb, 0x4f426585f9a8c123),
+    (LiveMigration, Mg, 0x36c9eb005f866bff),
 ];
 
 #[test]
 fn perf_suite_digests_match_pre_refactor_values() {
-    let scenarios = suite();
-    assert_eq!(scenarios.len(), PINNED_QUICK_DIGESTS.len(), "suite shape changed");
-    for (s, (id, want)) in scenarios.iter().zip(PINNED_QUICK_DIGESTS) {
-        assert_eq!(s.id, id, "suite order changed");
-        let got = scenario_digest(s, true);
-        assert_eq!(got, want, "digest for {id} drifted: got {got:#018x}, pinned {want:#018x}",);
+    for (design, workload, want) in PINNED_QUICK_DIGESTS {
+        let cfg = RunConfig {
+            seed: 42,
+            accesses: 150_000,
+            warmup: 20_000,
+            ..RunConfig::quick(workload, Mode::Dynamic(design))
+        };
+        let got = digest_of(&run(&cfg));
+        assert_eq!(
+            got, want,
+            "digest for {design:?}/{workload:?} drifted: got {got:#018x}, pinned {want:#018x}"
+        );
     }
 }

@@ -111,7 +111,7 @@ impl DramRegion {
     }
 
     /// Build a region with an explicit row-buffer policy (the closed-page
-    /// variant exists for the ablation benches).
+    /// variant is the open-vs-closed ablation partner in this module's tests).
     pub fn with_page_policy(
         profile: DeviceProfile,
         clock: &CpuClock,

@@ -1,10 +1,10 @@
 //! A minimal JSON reader — the read half of the workspace's JSON story.
 //!
-//! The writer lives next door in [`crate::json`]; nothing needed to *parse*
-//! JSON until `hmm-bench perf --baseline` had to read a committed
-//! `BENCH_*.json` back, and now `hmm-serve` parses request bodies and
-//! `hmm-loadgen` parses `/metrics` responses through the same parser. It is
-//! a small recursive-descent parser — strict enough to reject malformed
+//! The writer lives next door in [`crate::json`]. Every reader in the
+//! workspace parses through this one module: `hmm-serve` reads request
+//! bodies, `hmm-loadgen` reads `/metrics` responses, and the sweep and
+//! figure tools read sweep specs and documents. It is a small
+//! recursive-descent parser — strict enough to reject malformed
 //! documents with a useful message, with no external dependencies for
 //! offline toolchains.
 
@@ -15,8 +15,8 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (parsed as `f64`; the perf schema stays within exact
-    /// `f64` integer range for all counters it compares).
+    /// Any number (parsed as `f64`, so integers above 2^53 are not
+    /// exact).
     Num(f64),
     /// String with escapes resolved.
     Str(String),
