@@ -4,7 +4,7 @@
 //! figures <experiment> [--quick|--bench|--full]
 //!
 //! experiments: table1 table2 table3 table4 fig4 fig5 fig10 fig11 fig12
-//!              fig13 fig14 fig15 fig16 adaptive all
+//!              fig13 fig14 fig15 fig16 all
 //! ```
 //!
 //! `--quick` (default) uses 1/64-scale footprints for a smoke run;
@@ -24,12 +24,11 @@
 use hmm_bench::jsonin::{self, Json};
 use hmm_bench::sweep::figures_from_spec;
 use hmm_bench::{cells, f1, f2, human_bytes, pct, render_table};
-use hmm_core::{hardware_bits, MigrationDesign, Mode};
+use hmm_core::hardware_bits;
 use hmm_serve::request::Limits;
 use hmm_serve::ServerConfig;
 use hmm_sim_base::config::{LatencyConfig, MemoryGeometry, SimScale};
 use hmm_sim_base::stats::effectiveness;
-use hmm_simulator::driver::{run, RunConfig};
 use hmm_simulator::ipc::{ipc_for, Fig5Option};
 use hmm_simulator::missrate::{fig4_capacities, l3_miss_rates};
 use hmm_sweep::spec::render_json;
@@ -479,87 +478,6 @@ fn fig16(preset: &Preset) {
     );
 }
 
-/// Extension demo: the adaptive-granularity controller vs. fixed
-/// granularities (not a paper figure; see DESIGN.md section 6b).
-fn adaptive_demo(preset: &Preset) {
-    use hmm_core::{AdaptiveConfig, AdaptiveController, ControllerConfig};
-    use hmm_sim_base::addr::PhysAddr;
-    use hmm_sim_base::config::MachineConfig;
-    use hmm_workloads::workload;
-
-    let mut rows = Vec::new();
-    for w in [WorkloadId::Pgbench, WorkloadId::SpecJbb, WorkloadId::Mg] {
-        // Fixed granularities via the normal driver.
-        let mut fixed = Vec::new();
-        for shift in [14u32, 16, 18] {
-            let r = run(&RunConfig {
-                page_shift: shift,
-                swap_interval: 1_000,
-                scale: preset.scale,
-                accesses: preset.accesses,
-                warmup: preset.warmup,
-                seed: SEED,
-                ..RunConfig::paper(w, Mode::Dynamic(MigrationDesign::LiveMigration))
-            });
-            fixed.push((shift, r.mean_latency()));
-        }
-        // The adaptive controller over the same stream.
-        let rc = RunConfig {
-            scale: preset.scale,
-            page_shift: 16,
-            ..RunConfig::paper(w, Mode::Dynamic(MigrationDesign::LiveMigration))
-        };
-        let base = ControllerConfig {
-            machine: MachineConfig { geometry: rc.geometry(), ..Default::default() },
-            swap_interval: 1_000,
-            os_assisted: Some(false),
-            ..ControllerConfig::paper_default(rc.mode)
-        };
-        let mut ctrl = AdaptiveController::new(
-            AdaptiveConfig {
-                candidate_shifts: vec![14, 16, 18],
-                trial_accesses: preset.accesses / 8,
-                reexplore_after: None,
-            },
-            base,
-        );
-        let wl = workload(w, &preset.scale);
-        let mut total = 0u128;
-        let mut n = 0u64;
-        for rec in wl.iter(SEED).take(preset.accesses as usize) {
-            ctrl.access(rec.tick, PhysAddr(rec.addr.0), rec.is_write);
-            ctrl.advance(rec.tick);
-            for c in ctrl.drain() {
-                total += c.breakdown.total() as u128;
-                n += 1;
-            }
-        }
-        ctrl.flush();
-        for c in ctrl.drain() {
-            total += c.breakdown.total() as u128;
-            n += 1;
-        }
-        let adaptive_mean = total as f64 / n.max(1) as f64;
-        let committed = ctrl
-            .committed_shift()
-            .map(|s| human_bytes(1 << s))
-            .unwrap_or_else(|| "exploring".into());
-        let mut row = vec![wl.name.clone()];
-        row.extend(fixed.iter().map(|(_, l)| f1(*l)));
-        row.push(f1(adaptive_mean));
-        row.push(committed);
-        rows.push(row);
-    }
-    print!(
-        "{}",
-        render_table(
-            "Extension: adaptive granularity vs. fixed (live migration, interval 1K)",
-            &["Workload", "16KB fixed", "64KB fixed", "256KB fixed", "Adaptive", "Committed"],
-            &rows
-        )
-    );
-}
-
 /// One-line diagnostic and exit 2 — invalid input must never panic.
 /// (Same convention as `hmm-sim`, `hmm-bench`, and `hmm-serve`.)
 fn fail(msg: &str) -> ! {
@@ -586,9 +504,9 @@ fn main() {
         }
     }
     let what = what.as_deref().unwrap_or("all");
-    const EXPERIMENTS: [&str; 15] = [
+    const EXPERIMENTS: [&str; 14] = [
         "table1", "table2", "table3", "table4", "fig4", "fig5", "fig10", "fig11", "fig12", "fig13",
-        "fig14", "fig15", "fig16", "adaptive", "all",
+        "fig14", "fig15", "fig16", "all",
     ];
     if !EXPERIMENTS.contains(&what) {
         fail(&format!("unknown experiment '{what}' (experiments: {})", EXPERIMENTS.join(" ")));
@@ -613,7 +531,6 @@ fn main() {
         "fig14" => fig12_14(&preset, FIG14, 14),
         "fig15" => fig15(&preset),
         "fig16" => fig16(&preset),
-        "adaptive" => adaptive_demo(&preset),
         "all" => {
             table1();
             table2();

@@ -10,7 +10,7 @@
 //!         [--telemetry off|counters|full] [--chrome-out t.json] \
 //!         [--metrics-out m.csv] [--events-out e.jsonl]
 //!
-//! modes: off | on | static | n | n-1 | live | adaptive
+//! modes: off | on | static | n | n-1 | live
 //! workloads: bt cg dc ep ft is lu mg sp ua spec2006 pgbench indexer specjbb
 //! ```
 //!

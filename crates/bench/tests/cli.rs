@@ -177,6 +177,7 @@ fn hmm_bench_sweep_runs_a_small_grid() {
 fn figures_rejects_invalid_input_with_one_line() {
     let bin = env!("CARGO_BIN_EXE_figures");
     assert_one_line_exit2(&run(bin, &["fig99"]), "fig99");
+    assert_one_line_exit2(&run(bin, &["adaptive"]), "adaptive");
     assert_one_line_exit2(&run(bin, &["--fast"]), "--fast");
     assert_one_line_exit2(&run(bin, &["table1", "table2"]), "more than one");
     // A figure's machine-readable form is its sweep document

@@ -7,7 +7,6 @@
 //! back-invalidated; a dirty private copy folds its data into the L3
 //! victim's write-back.
 
-use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
 use crate::set_assoc::{AccessOutcome, CacheConfig, SetAssocCache};
 use hmm_sim_base::addr::{LineAddr, PhysAddr};
 use hmm_sim_base::cycles::Cycle;
@@ -29,9 +28,6 @@ pub struct HierarchyConfig {
     pub l3: CacheConfig,
     /// L3 hit latency.
     pub l3_latency: Cycle,
-    /// Optional per-core stream prefetcher feeding the L3 (the related
-    /// work the paper declares orthogonal). `None` disables it.
-    pub prefetch: Option<PrefetchConfig>,
 }
 
 impl HierarchyConfig {
@@ -45,7 +41,6 @@ impl HierarchyConfig {
             l2_latency: 5,
             l3: CacheConfig::new(8 << 20, 16),
             l3_latency: 25,
-            prefetch: None,
         }
     }
 
@@ -107,11 +102,6 @@ pub struct Hierarchy {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     l3: SetAssocCache,
-    prefetchers: Vec<StreamPrefetcher>,
-    scratch_prefetches: Vec<hmm_sim_base::addr::LineAddr>,
-    /// Lines the prefetcher pulled into the L3 (fill traffic towards
-    /// memory that the IPC model treats as off the critical path).
-    prefetch_fills: u64,
 }
 
 impl Hierarchy {
@@ -122,19 +112,8 @@ impl Hierarchy {
             l1: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect(),
             l2: (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l2)).collect(),
             l3: SetAssocCache::new(cfg.l3),
-            prefetchers: cfg
-                .prefetch
-                .map(|p| (0..cfg.cores).map(|_| StreamPrefetcher::new(p)).collect())
-                .unwrap_or_default(),
-            scratch_prefetches: Vec::new(),
-            prefetch_fills: 0,
             cfg,
         }
-    }
-
-    /// Lines pulled into the L3 by the prefetcher so far.
-    pub fn prefetch_fills(&self) -> u64 {
-        self.prefetch_fills
     }
 
     /// The configuration in use.
@@ -185,33 +164,6 @@ impl Hierarchy {
             AccessOutcome::Miss(_) => {}
         }
 
-        // The prefetcher observes the L2-miss stream and pulls lines into
-        // the shared L3 ahead of demand.
-        if !self.prefetchers.is_empty() {
-            self.scratch_prefetches.clear();
-            let mut scratch = std::mem::take(&mut self.scratch_prefetches);
-            self.prefetchers[core].observe(line, &mut scratch);
-            for pf in scratch.drain(..) {
-                if let Some(v) = self.l3.fill(pf) {
-                    // An evicted dirty victim still needs its write-back.
-                    let mut dirty = v.dirty;
-                    for c in 0..self.cfg.cores {
-                        if let Some(d) = self.l1[c].invalidate(v.line) {
-                            dirty |= d;
-                        }
-                        if let Some(d) = self.l2[c].invalidate(v.line) {
-                            dirty |= d;
-                        }
-                    }
-                    if dirty {
-                        writebacks.push(v.line);
-                    }
-                }
-                self.prefetch_fills += 1;
-            }
-            self.scratch_prefetches = scratch;
-        }
-
         latency += self.cfg.l3_latency;
         match self.l3.access(line, is_write) {
             AccessOutcome::Hit => {
@@ -260,7 +212,6 @@ mod tests {
             l2_latency: 5,
             l3: CacheConfig::new(1024, 2),
             l3_latency: 25,
-            prefetch: None,
         })
     }
 
@@ -363,41 +314,6 @@ mod tests {
     fn rejects_bad_core_index() {
         let mut h = tiny();
         h.access(5, addr(0), false);
-    }
-
-    #[test]
-    fn prefetcher_cuts_streaming_l3_misses() {
-        let stream = |prefetch: Option<crate::prefetch::PrefetchConfig>| -> f64 {
-            let mut h = Hierarchy::new(HierarchyConfig {
-                l3: CacheConfig::new(1 << 20, 16),
-                prefetch,
-                ..HierarchyConfig::paper_default()
-            });
-            // A long unit-stride stream (every line distinct).
-            for l in 0..40_000u64 {
-                h.access(0, addr(l), false);
-            }
-            h.l3_stats().miss_rate()
-        };
-        let without = stream(None);
-        let with = stream(Some(crate::prefetch::PrefetchConfig::default()));
-        assert!(without > 0.9, "a pure stream misses everywhere: {without}");
-        assert!(
-            with < without * 0.5,
-            "the stream prefetcher must absorb most stream misses: {with} vs {without}"
-        );
-    }
-
-    #[test]
-    fn prefetcher_counts_fill_traffic() {
-        let mut h = Hierarchy::new(HierarchyConfig {
-            prefetch: Some(crate::prefetch::PrefetchConfig::default()),
-            ..HierarchyConfig::paper_default()
-        });
-        for l in 0..1_000u64 {
-            h.access(0, addr(l), false);
-        }
-        assert!(h.prefetch_fills() > 500, "fills: {}", h.prefetch_fills());
     }
 
     #[test]

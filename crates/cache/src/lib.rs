@@ -9,9 +9,6 @@
 //! * [`hierarchy`] — the paper's SRAM hierarchy: private 32 KB L1 and
 //!   256 KB L2 per core, shared inclusive 8 MB 16-way L3 (Table II), with
 //!   back-invalidation on L3 evictions.
-//! * [`prefetch`] — an optional per-core stream prefetcher (the related
-//!   work the paper declares orthogonal; used to show the heterogeneous
-//!   memory composes with prefetching).
 //! * [`dram_cache`] — the tags-in-DRAM L4: a 15-way set-associative cache
 //!   living in a 16-way data array, with the tags of each set packed into
 //!   the 16th line. Tag and data are read *sequentially*, so a hit costs
@@ -22,10 +19,8 @@
 
 pub mod dram_cache;
 pub mod hierarchy;
-pub mod prefetch;
 pub mod set_assoc;
 
 pub use dram_cache::{DramCache, DramCacheConfig, L4Outcome};
 pub use hierarchy::{AccessResult, Hierarchy, HierarchyConfig, HitLevel, MemRequest};
-pub use prefetch::{PrefetchConfig, StreamPrefetcher};
 pub use set_assoc::{AccessOutcome, CacheConfig, CacheStats, ReplPolicy, SetAssocCache, Victim};

@@ -293,28 +293,6 @@ impl SetAssocCache {
         None
     }
 
-    /// Install a line without touching the demand hit/miss counters (used
-    /// for prefetch fills). Evictions and write-backs are still counted.
-    /// Returns the victim, if one was displaced. No-op `None` if already
-    /// resident.
-    pub fn fill(&mut self, line: LineAddr) -> Option<Victim> {
-        if self.contains(line) {
-            return None;
-        }
-        self.stats.accesses += 1;
-        self.stats.hits += 1; // net-zero on the demand miss count
-        match self.access(line, false) {
-            AccessOutcome::Miss(v) => {
-                // access() counted one access + zero hits for the miss;
-                // compensate so fills are invisible to demand metrics.
-                self.stats.accesses -= 2;
-                self.stats.hits -= 1;
-                v
-            }
-            AccessOutcome::Hit => unreachable!("checked absent above"),
-        }
-    }
-
     /// Mark a resident line dirty (used when a lower level writes back into
     /// this one). No-op if absent.
     pub fn mark_dirty(&mut self, line: LineAddr) {
@@ -555,22 +533,6 @@ mod tests {
         }
         // 512 lines = 32 KB fits in 64 KB: only cold misses.
         assert_eq!(c.stats().misses(), 512);
-    }
-
-    #[test]
-    fn fill_is_invisible_to_demand_stats() {
-        let mut c = small(ReplPolicy::Lru);
-        assert_eq!(c.fill(line(0)), None);
-        assert_eq!(c.stats().accesses, 0, "fills must not count as demand");
-        assert_eq!(c.stats().misses(), 0);
-        assert!(c.access(line(0), false).is_hit(), "filled line serves demand");
-        // Filling a resident line is a no-op.
-        assert_eq!(c.fill(line(0)), None);
-        // Fills still evict and report victims.
-        c.fill(line(2));
-        let v = c.fill(line(4));
-        assert!(v.is_some());
-        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]

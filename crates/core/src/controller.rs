@@ -484,19 +484,6 @@ impl<S: TelemetrySink + Clone + Send> HeteroController<S> {
         &self.table
     }
 
-    /// The configuration this controller was built with.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.cfg
-    }
-
-    /// Stall demand traffic for `cycles` from the current time (used by
-    /// the adaptive-granularity wrapper to charge reconfiguration costs,
-    /// and available for modelling other OS-level events).
-    pub fn inject_stall(&mut self, cycles: Cycle) {
-        self.stall_until = self.stall_until.max(self.now + cycles);
-        self.stats.stall_cycles += 0; // accounted per-access as usual
-    }
-
     /// Select the swap-trigger rule (default: the paper's comparative
     /// hottest-vs-coldest trigger). Applies from the next epoch boundary.
     pub fn set_migration_policy(&mut self, policy: MigrationPolicy) {
@@ -1545,16 +1532,9 @@ impl<S: TelemetrySink + Clone + Send> HeteroController<S> {
         std::mem::take(&mut self.completed)
     }
 
-    /// Drain accumulated demand completions in place, keeping the internal
-    /// buffer's capacity — the allocation-free variant of
-    /// [`HeteroController::drain`] for tight polling loops.
-    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, DemandCompletion> {
-        self.completed.drain(..)
-    }
-
     /// Append accumulated demand completions to `out` (same values and
-    /// order as [`HeteroController::drain_completed`]), the object-safe
-    /// spelling used through the [`crate::scheme::PlacementScheme`] trait.
+    /// order as [`HeteroController::drain`]), the object-safe spelling
+    /// used through the [`crate::scheme::PlacementScheme`] trait.
     pub fn drain_completed_into(&mut self, out: &mut Vec<DemandCompletion>) {
         out.append(&mut self.completed);
     }

@@ -22,14 +22,10 @@
 //! * [`overhead`] — the pure-hardware cost model of Fig. 10 (translation
 //!   table + bitmaps + multi-queue bits) and the pure-HW vs. OS-assisted
 //!   threshold.
-//! * [`adaptive`] — the extension the paper calls for: online selection
-//!   of the migration granularity (explore candidates, commit to the
-//!   best, optionally re-explore).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive;
 pub mod controller;
 pub mod migrate;
 pub mod monitor;
@@ -38,7 +34,6 @@ pub mod scheme;
 pub mod table;
 pub mod tcache;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveController, TrialResult};
 pub use controller::{ControllerConfig, ControllerStats, HeteroController, Mode};
 pub use migrate::{MigrationDesign, MigrationEngine, SwapStats};
 pub use monitor::{MultiQueueMru, SlotClock};

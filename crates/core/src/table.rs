@@ -303,12 +303,6 @@ impl TranslationTable {
         }
     }
 
-    /// Number of high pages currently migrated on-package (CAM entries).
-    /// This is the amount of state a granularity switch must drain.
-    pub fn swapped_count(&self) -> usize {
-        self.cam.len()
-    }
-
     /// The slot in `Empty` state, if any (idle N-1 table has exactly
     /// one). Quarantined slots are also `Empty` but are permanently out
     /// of the pool, so they don't count.

@@ -132,8 +132,6 @@ pub enum EventKind {
     RowMiss,
     /// A DRAM access conflicted with a different open row.
     BankConflict,
-    /// The adaptive controller switched migration granularity.
-    GranularitySwitch,
     /// A fault from the active fault plan fired.
     FaultInjected,
     /// A failed migration transfer was re-issued with backoff.
@@ -147,7 +145,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Number of kinds; sizes the recorder's counter array.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 13;
 
     /// All kinds, in counter order.
     pub const ALL: [EventKind; Self::COUNT] = [
@@ -160,7 +158,6 @@ impl EventKind {
         EventKind::RowHit,
         EventKind::RowMiss,
         EventKind::BankConflict,
-        EventKind::GranularitySwitch,
         EventKind::FaultInjected,
         EventKind::TransferRetried,
         EventKind::SwapAborted,
@@ -179,7 +176,6 @@ impl EventKind {
             EventKind::RowHit => "row_hit",
             EventKind::RowMiss => "row_miss",
             EventKind::BankConflict => "bank_conflict",
-            EventKind::GranularitySwitch => "granularity_switch",
             EventKind::FaultInjected => "fault_injected",
             EventKind::TransferRetried => "transfer_retried",
             EventKind::SwapAborted => "swap_aborted",
@@ -281,15 +277,6 @@ pub enum Event {
         /// endurance-relevant direction for write-limited media like PCM.
         is_write: bool,
     },
-    /// The adaptive controller committed a new migration granularity.
-    GranularitySwitch {
-        /// Cycle of the rebuild.
-        cycle: Cycle,
-        /// Previous macro-page shift (log2 bytes).
-        from_shift: u32,
-        /// New macro-page shift (log2 bytes).
-        to_shift: u32,
-    },
     /// A fault from the active fault plan fired.
     FaultInjected {
         /// Cycle the fault was detected.
@@ -348,7 +335,6 @@ impl Event {
                 DramOutcome::RowMiss => EventKind::RowMiss,
                 DramOutcome::BankConflict => EventKind::BankConflict,
             },
-            Event::GranularitySwitch { .. } => EventKind::GranularitySwitch,
             Event::FaultInjected { .. } => EventKind::FaultInjected,
             Event::TransferRetried { .. } => EventKind::TransferRetried,
             Event::SwapAborted { .. } => EventKind::SwapAborted,
@@ -366,7 +352,6 @@ impl Event {
             | Event::EpochRollover { cycle, .. }
             | Event::PfTransition { cycle, .. }
             | Event::DramAccess { cycle, .. }
-            | Event::GranularitySwitch { cycle, .. }
             | Event::FaultInjected { cycle, .. }
             | Event::TransferRetried { cycle, .. }
             | Event::SwapAborted { cycle, .. }

@@ -63,9 +63,6 @@ pub fn event_to_json(event: &Event) -> String {
             .bool("background", background)
             .bool("is_write", is_write)
             .finish(),
-        Event::GranularitySwitch { from_shift, to_shift, .. } => {
-            obj.u64("from_shift", from_shift as u64).u64("to_shift", to_shift as u64).finish()
-        }
         Event::FaultInjected { class, detail, .. } => {
             obj.str("class", class.label()).u64("detail", detail).finish()
         }
@@ -229,24 +226,6 @@ pub fn write_chrome_trace<W: Write>(mut w: W, events: &[Event], cpu_mhz: u64) ->
                             .u64("demand_on", demand_on)
                             .u64("demand_off", demand_off)
                             .u64("migration", migration_lines)
-                            .finish(),
-                    )
-                    .finish(),
-            ),
-            Event::GranularitySwitch { cycle, from_shift, to_shift } => Some(
-                JsonObject::new()
-                    .str("name", "granularity_switch")
-                    .str("cat", "adaptive")
-                    .str("ph", "i")
-                    .str("s", "g")
-                    .u64("pid", 0)
-                    .u64("tid", 2)
-                    .f64("ts", ts(cycle))
-                    .raw(
-                        "args",
-                        &JsonObject::new()
-                            .u64("from_shift", from_shift as u64)
-                            .u64("to_shift", to_shift as u64)
                             .finish(),
                     )
                     .finish(),

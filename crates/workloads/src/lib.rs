@@ -18,8 +18,8 @@
 //!   pages, pointer chases, V-cycles, uniform noise).
 //! * [`catalog`] — the named workloads of Tables I and III with their
 //!   footprints and pattern mixtures.
-//! * [`trace_io`] — trace-file export/import (compact binary and plain
-//!   text), matching the paper's trace-driven methodology.
+//! * [`trace_io`] — trace-file export/import in the compact binary HMT1
+//!   format, matching the paper's trace-driven methodology.
 //! * [`replay`] — decoded-trace registry and the replay cursor that
 //!   streams recorded traces back through the simulation driver.
 
@@ -36,4 +36,4 @@ pub use catalog::{footprint_bytes, npb_footprint_mb, workload, WorkloadId};
 pub use pattern::Pattern;
 pub use replay::{ReplayIter, TraceData, TraceSource, TraceSummary};
 pub use trace::{TraceIter, TraceRecord, Workload};
-pub use trace_io::{read_text, write_binary, write_text, BinaryTraceReader};
+pub use trace_io::{write_binary, BinaryTraceReader};

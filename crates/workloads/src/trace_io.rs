@@ -8,17 +8,13 @@
 //! and replay them later, so experiments are repeatable bit-for-bit and
 //! external traces can be plugged into the simulator.
 //!
-//! Two formats:
-//!
-//! * **binary** (`.hmt`) — compact delta encoding: LEB128 varints for the
-//!   tick delta and the line address, one byte for cpu + read/write. A
-//!   typical record costs 4-8 bytes instead of 18.
-//! * **text** — one `tick cpu addr r|w` line per record; trivially
-//!   greppable and diffable.
+//! The format (HMT1, `.hmt`) is a compact delta encoding: LEB128 varints
+//! for the tick delta and the line address, one byte for cpu +
+//! read/write. A typical record costs 4-8 bytes instead of 18.
 
 use crate::trace::TraceRecord;
 use hmm_sim_base::addr::PhysAddr;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 
 /// Magic bytes of the binary format ("HMT1").
 pub const MAGIC: [u8; 4] = *b"HMT1";
@@ -157,61 +153,6 @@ impl<R: Read> Iterator for BinaryTraceReader<R> {
     }
 }
 
-/// Write records in the text format: `tick cpu addr r|w`, one per line.
-pub fn write_text<W: Write>(
-    w: &mut W,
-    records: impl IntoIterator<Item = TraceRecord>,
-) -> io::Result<u64> {
-    let mut count = 0;
-    for rec in records {
-        writeln!(
-            w,
-            "{} {} {:#x} {}",
-            rec.tick,
-            rec.cpu,
-            rec.addr.0,
-            if rec.is_write { 'w' } else { 'r' }
-        )?;
-        count += 1;
-    }
-    Ok(count)
-}
-
-/// Parse the text format, skipping blank lines and `#` comments.
-pub fn read_text<R: BufRead>(r: R) -> io::Result<Vec<TraceRecord>> {
-    let mut out = Vec::new();
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let body = line.split('#').next().unwrap_or("").trim();
-        if body.is_empty() {
-            continue;
-        }
-        let mut it = body.split_whitespace();
-        let bad = |what: &str| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: bad {what}: {body:?}", lineno + 1),
-            )
-        };
-        let tick: u64 = it.next().ok_or_else(|| bad("tick"))?.parse().map_err(|_| bad("tick"))?;
-        let cpu: u8 = it.next().ok_or_else(|| bad("cpu"))?.parse().map_err(|_| bad("cpu"))?;
-        let addr_s = it.next().ok_or_else(|| bad("addr"))?;
-        let addr = if let Some(hex) = addr_s.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).map_err(|_| bad("addr"))?
-        } else {
-            addr_s.parse().map_err(|_| bad("addr"))?
-        };
-        let rw = it.next().ok_or_else(|| bad("r/w"))?;
-        let is_write = match rw {
-            "r" | "R" => false,
-            "w" | "W" => true,
-            _ => return Err(bad("r/w")),
-        };
-        out.push(TraceRecord { tick, cpu, addr: PhysAddr(addr), is_write });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,34 +188,6 @@ mod tests {
         write_binary(&mut buf, recs.iter().copied()).unwrap();
         let per_record = buf.len() as f64 / recs.len() as f64;
         assert!(per_record < 10.0, "expected <10 B/record, got {per_record:.1}");
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let recs = sample(500);
-        let mut buf = Vec::new();
-        write_text(&mut buf, recs.iter().copied()).unwrap();
-        let back = read_text(&buf[..]).unwrap();
-        // Text keeps full byte addresses.
-        assert_eq!(recs, back);
-    }
-
-    #[test]
-    fn text_parses_comments_and_blank_lines() {
-        let src = b"# a comment\n\n100 0 0x40 r\n200 3 128 w # trailing\n";
-        let recs = read_text(&src[..]).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].tick, 100);
-        assert_eq!(recs[1].cpu, 3);
-        assert_eq!(recs[1].addr.0, 128);
-        assert!(recs[1].is_write);
-    }
-
-    #[test]
-    fn text_rejects_malformed_lines() {
-        assert!(read_text(&b"1 2\n"[..]).is_err());
-        assert!(read_text(&b"x 0 0x40 r\n"[..]).is_err());
-        assert!(read_text(&b"1 0 0x40 q\n"[..]).is_err());
     }
 
     #[test]

@@ -3,70 +3,59 @@
 //! memory trace from a detailed full-system simulator"), which also lets
 //! externally captured traces drive this simulator.
 //!
+//! The replay takes the same path as `hmm-sim --trace-in <file>`: decode
+//! the file, register it under its content hash, and name it in
+//! `RunConfig::trace` for the driver.
+//!
 //! Run with: `cargo run --release --example trace_files`
 
 use hetero_mem::base::config::SimScale;
 use hetero_mem::core::{MigrationDesign, Mode};
-use hetero_mem::simulator::driver::RunConfig;
-use hetero_mem::workloads::{
-    trace_io::{write_binary, BinaryTraceReader},
-    workload, WorkloadId,
-};
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use hetero_mem::simulator::driver::{run, RunConfig, TraceRef};
+use hetero_mem::workloads::{replay, workload, write_binary, WorkloadId};
+use std::io;
+use std::sync::Arc;
 
-fn main() -> std::io::Result<()> {
+fn main() -> io::Result<()> {
     let scale = SimScale { divisor: 64 };
-    let w = workload(WorkloadId::Indexer, &scale);
-    let path = std::env::temp_dir().join("indexer.hmt");
+    let path = std::env::temp_dir().join(format!("indexer-{}.hmt", std::process::id()));
 
     // 1. Record 200k accesses of the indexer workload.
-    let n = 200_000usize;
-    {
-        let mut out = BufWriter::new(File::create(&path)?);
-        let written = write_binary(&mut out, w.iter(42).take(n))?;
-        println!("recorded {written} accesses to {}", path.display());
-    }
-    let bytes = std::fs::metadata(&path)?.len();
-    println!("file size: {} bytes ({:.1} B/record vs 18 B naive)", bytes, bytes as f64 / n as f64);
+    let mut bytes = Vec::new();
+    let written =
+        write_binary(&mut bytes, workload(WorkloadId::Indexer, &scale).records(42, 200_000))?;
+    std::fs::write(&path, &bytes)?;
+    println!("recorded {written} accesses to {}", path.display());
+    println!(
+        "file size: {} bytes ({:.1} B/record vs 18 B naive)",
+        bytes.len(),
+        bytes.len() as f64 / written as f64
+    );
 
-    // 2. Replay the trace through the heterogeneity-aware controller.
-    let rc = RunConfig {
+    // 2. Decode the file and register it for replay.
+    let data = replay::decode(&std::fs::read(&path)?)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    std::fs::remove_file(&path)?;
+    let summary = data.summary;
+    replay::register(Arc::new(data));
+
+    // 3. Replay it through the heterogeneity-aware controller. With a
+    //    trace set, the footprint comes from the trace's own addresses.
+    let r = run(&RunConfig {
         scale,
         page_shift: 16,
         swap_interval: 1_000,
+        accesses: summary.records,
+        warmup: summary.records / 10,
+        trace: Some(TraceRef::from_summary(&summary)),
         ..RunConfig::paper(WorkloadId::Indexer, Mode::Dynamic(MigrationDesign::LiveMigration))
-    };
-    let mut ctrl = hetero_mem::core::HeteroController::new(hetero_mem::core::ControllerConfig {
-        machine: hetero_mem::base::config::MachineConfig {
-            geometry: rc.geometry(),
-            ..Default::default()
-        },
-        swap_interval: rc.swap_interval,
-        ..hetero_mem::core::ControllerConfig::paper_default(rc.mode)
     });
-
-    let mut total = 0u128;
-    let mut count = 0u64;
-    for rec in BinaryTraceReader::new(BufReader::new(File::open(&path)?)) {
-        let rec = rec?;
-        ctrl.access(rec.tick, rec.addr, rec.is_write);
-        ctrl.advance(rec.tick);
-        for c in ctrl.drain() {
-            total += c.breakdown.total() as u128;
-            count += 1;
-        }
-    }
-    ctrl.flush();
-    for c in ctrl.drain() {
-        total += c.breakdown.total() as u128;
-        count += 1;
-    }
     println!(
-        "replayed {count} accesses: {:.1} cycles average, {} swaps",
-        total as f64 / count as f64,
-        ctrl.swap_stats().map(|s| s.completed).unwrap_or(0)
+        "replayed trace {}: {} accesses after warm-up, {:.1} cycles average, {} swaps",
+        summary.id(),
+        r.access.latency.count(),
+        r.mean_latency(),
+        r.swaps.map_or(0, |s| s.completed)
     );
-    std::fs::remove_file(&path)?;
     Ok(())
 }

@@ -1,12 +1,9 @@
-//! Integration tests for the extensions built beyond the paper:
-//! adaptive granularity, the stream prefetcher, and trace-file replay.
+//! Integration test for trace-file replay: a recorded binary trace drives
+//! the controller exactly as the live generator does.
 
 use hetero_mem::base::addr::PhysAddr;
 use hetero_mem::base::config::{MachineConfig, SimScale};
-use hetero_mem::cache::{Hierarchy, HierarchyConfig, PrefetchConfig};
-use hetero_mem::core::{
-    AdaptiveConfig, AdaptiveController, ControllerConfig, HeteroController, MigrationDesign, Mode,
-};
+use hetero_mem::core::{ControllerConfig, HeteroController, MigrationDesign, Mode};
 use hetero_mem::simulator::driver::RunConfig;
 use hetero_mem::workloads::{
     trace_io::{write_binary, BinaryTraceReader},
@@ -24,37 +21,6 @@ fn controller_base(w: WorkloadId, scale: SimScale) -> ControllerConfig {
         swap_interval: 1_000,
         os_assisted: Some(false),
         ..ControllerConfig::paper_default(rc.mode)
-    }
-}
-
-/// The adaptive controller must never end up meaningfully worse than the
-/// worst fixed candidate it measured (its trials bound its behaviour).
-#[test]
-fn adaptive_controller_is_sane_end_to_end() {
-    let scale = SimScale { divisor: 64 };
-    let w = workload(WorkloadId::SpecJbb, &scale);
-    let mut ctrl = AdaptiveController::new(
-        AdaptiveConfig {
-            candidate_shifts: vec![14, 16, 18],
-            trial_accesses: 20_000,
-            reexplore_after: None,
-        },
-        controller_base(WorkloadId::SpecJbb, scale),
-    );
-    let mut n = 0u64;
-    for rec in w.iter(9).take(120_000) {
-        ctrl.access(rec.tick, PhysAddr(rec.addr.0), rec.is_write);
-        ctrl.advance(rec.tick);
-        n += ctrl.drain().len() as u64;
-    }
-    ctrl.flush();
-    n += ctrl.drain().len() as u64;
-    assert_eq!(n, 120_000, "all accesses complete across granularity switches");
-    assert!(ctrl.committed_shift().is_some());
-    assert_eq!(ctrl.trials().len(), 3);
-    for t in ctrl.trials() {
-        assert!(t.mean_latency.is_finite() && t.mean_latency > 0.0);
-        assert!(t.samples > 0);
     }
 }
 
@@ -98,30 +64,4 @@ fn trace_replay_matches_live_generation() {
     let a = drive(live);
     let b = drive(replayed);
     assert_eq!(a, b, "replay must be bit-identical in behaviour");
-}
-
-/// The prefetcher composes with the Fig. 4 experiment: streaming L3 miss
-/// rates drop, zipf-dominated ones barely change.
-#[test]
-fn prefetcher_composes_with_cache_hierarchy() {
-    let scale = SimScale { divisor: 256 };
-    let run = |id: WorkloadId, pf: Option<PrefetchConfig>| {
-        let w = workload(id, &scale);
-        let mut h = Hierarchy::new(HierarchyConfig {
-            l3: hetero_mem::cache::CacheConfig::new(scale.bytes(8 << 20).max(64 * 16 * 16), 16),
-            prefetch: pf,
-            ..HierarchyConfig::paper_default()
-        });
-        for rec in w.iter(5).take(120_000) {
-            h.access(rec.cpu as usize % 4, rec.addr, rec.is_write);
-        }
-        h.l3_stats().miss_rate()
-    };
-    // FT streams: the prefetcher should absorb a noticeable share.
-    let ft_without = run(WorkloadId::Ft, None);
-    let ft_with = run(WorkloadId::Ft, Some(PrefetchConfig::default()));
-    assert!(
-        ft_with < ft_without,
-        "prefetching must cut FT's demand miss rate: {ft_with:.3} vs {ft_without:.3}"
-    );
 }
