@@ -15,7 +15,7 @@
 //! [`SetAssocCache`] with that geometry and the sequential-access latency
 //! model.
 
-use crate::set_assoc::{AccessOutcome, CacheConfig, CacheStats, ReplPolicy, SetAssocCache, Victim};
+use crate::set_assoc::{AccessOutcome, CacheConfig, CacheStats, SetAssocCache, Victim};
 use hmm_sim_base::addr::LineAddr;
 use hmm_sim_base::config::LatencyConfig;
 use hmm_sim_base::cycles::Cycle;
@@ -79,7 +79,6 @@ impl DramCache {
             capacity_bytes: sets * 15 * cfg.line_bytes as u64,
             associativity: 15,
             line_bytes: cfg.line_bytes,
-            policy: ReplPolicy::Lru,
         });
         Self {
             inner,

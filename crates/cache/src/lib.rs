@@ -4,8 +4,8 @@
 //! (an L4 behind the SRAM hierarchy) against mapping it into main memory.
 //! That comparison needs:
 //!
-//! * [`set_assoc`] — a generic set-associative cache with LRU and
-//!   clock-based pseudo-LRU replacement, write-back/write-allocate.
+//! * [`set_assoc`] — a generic set-associative LRU cache,
+//!   write-back/write-allocate, at 16 bytes of tag store per way.
 //! * [`hierarchy`] — the paper's SRAM hierarchy: private 32 KB L1 and
 //!   256 KB L2 per core, shared inclusive 8 MB 16-way L3 (Table II), with
 //!   back-invalidation on L3 evictions.
@@ -23,4 +23,4 @@ pub mod set_assoc;
 
 pub use dram_cache::{DramCache, DramCacheConfig, L4Outcome};
 pub use hierarchy::{AccessResult, Hierarchy, HierarchyConfig, HitLevel, MemRequest};
-pub use set_assoc::{AccessOutcome, CacheConfig, CacheStats, ReplPolicy, SetAssocCache, Victim};
+pub use set_assoc::{AccessOutcome, CacheConfig, CacheStats, SetAssocCache, Victim};

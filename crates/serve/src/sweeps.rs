@@ -23,6 +23,10 @@
 //!   (stragglers), and a dead peer's cells are re-dispatched to the
 //!   survivors with the same bounded-retry/backoff discipline
 //!   `hmm-fault` applies to DRAM transfers, lifted to the cluster layer.
+//!   Before a peer's first cell of a recorded trace, its dispatcher
+//!   POSTs the trace's `HMT1` bytes to the peer's `/v1/traces`; traces
+//!   are content-addressed, so the peer registers them under the same
+//!   id and a repeated upload changes nothing.
 //!
 //! Accounting is exact and checkable ([`SweepCounts::check`]): every
 //! assignment of a cell to an executor bumps `dispatched`, every
@@ -48,6 +52,7 @@ use hmm_sim_base::FxHashMap;
 use hmm_sweep::aggregate::figures_doc;
 use hmm_sweep::{expand, CellState, Ring, SweepCounts};
 use hmm_telemetry::{JsonArray, JsonObject};
+use hmm_workloads::replay;
 use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -408,6 +413,8 @@ struct Cluster<'a> {
     alive: Vec<AtomicBool>,
     /// Pending cell indices assigned to each peer.
     queues: Vec<Mutex<VecDeque<usize>>>,
+    /// Content hashes of the traces each peer has been sent.
+    sent: Vec<Mutex<HashSet<u64>>>,
     /// Cells not yet concluded (done or failed).
     remaining: AtomicU64,
 }
@@ -420,6 +427,7 @@ impl<'a> Cluster<'a> {
             ring: Ring::new(peers),
             alive: addrs.iter().map(|a| AtomicBool::new(a.is_some())).collect(),
             queues: peers.iter().map(|_| Mutex::new(VecDeque::new())).collect(),
+            sent: peers.iter().map(|_| Mutex::new(HashSet::new())).collect(),
             remaining: AtomicU64::new(sweep.cells.len() as u64),
             shared,
             sweep,
@@ -536,6 +544,36 @@ impl<'a> Cluster<'a> {
         self.queues[p].lock().unwrap().pop_front()
     }
 
+    /// Before peer `p`'s first cell of a trace, POST the registered
+    /// trace's bytes to its `/v1/traces`, since a peer replays only the
+    /// traces it holds. Returns false when cell `idx` was concluded or
+    /// reassigned instead: the same outcomes, for the same answers, as
+    /// the simulate request below.
+    fn push_trace(&self, p: usize, addr: SocketAddr, idx: usize, hash: u64) -> bool {
+        if self.sent[p].lock().unwrap().contains(&hash) {
+            return true;
+        }
+        // Deleted since the sweep was submitted: the peer's "unknown
+        // trace" answer to the cell says so.
+        let Some(data) = replay::lookup(hash) else { return true };
+        match client::request_bytes(addr, "POST", "/v1/traces", data.bytes(), PEER_TIMEOUT) {
+            Ok(resp) if resp.status == 200 => {
+                self.sent[p].lock().unwrap().insert(hash);
+                true
+            }
+            Ok(resp) if resp.status == 400 || resp.status == 413 => {
+                let why = format!("peer refused the trace: {}: {}", resp.status, resp.body);
+                self.conclude(idx, Slot::Failed(why));
+                false
+            }
+            Ok(_) | Err(_) => {
+                self.alive[p].store(false, Ordering::SeqCst);
+                self.reassign(idx, &format!("peer {} unreachable", self.shared.cfg.peers[p]));
+                false
+            }
+        }
+    }
+
     /// Run one cell on peer `p`: POST the canonical config text to the
     /// peer's `/v1/simulate` and conclude, retry, or reassign.
     fn execute(&self, p: usize, idx: usize) {
@@ -562,6 +600,11 @@ impl<'a> Cluster<'a> {
             thread::sleep(base + Duration::from_nanos(jitter_ns));
         }
         *cell.slot.lock().unwrap() = Slot::Remote;
+        if let Some(trace) = cell.sim.cfg.trace {
+            if !self.push_trace(p, addr, idx, trace.hash) {
+                return;
+            }
+        }
         loop {
             match client::request(addr, "POST", "/v1/simulate", &cell.sim.canonical, PEER_TIMEOUT) {
                 Ok(resp) if resp.status == 200 => {

@@ -110,7 +110,7 @@ impl TraceRegistry {
 
     /// Remove a trace: forget its summary, unregister it from the replay
     /// registry, and delete its blob. Returns whether it existed. Runs
-    /// already holding the decoded records are unaffected.
+    /// already holding the trace are unaffected.
     pub fn delete(&self, hash: u64, metrics: &ServerMetrics) -> bool {
         let existed = self.metas.lock().unwrap().remove(&hash).is_some();
         if existed {

@@ -5,14 +5,16 @@
 //! byte-for-byte with an in-process run over the same cells via
 //! `hmm_simulator::run_grid`.
 
-use hmm_serve::client::{request, HttpResponse};
+use hmm_serve::client::{request, request_bytes, HttpResponse};
 use hmm_serve::request::{parse_body, Limits};
 use hmm_serve::response::render_run;
 use hmm_serve::{Server, ServerConfig};
+use hmm_sim_base::config::SimScale;
 use hmm_simulator::run_grid;
 use hmm_sweep::spec::render_json;
 use hmm_sweep::{expand, Ring, SweepCounts};
 use hmm_telemetry::jsonin::{self, Json};
+use hmm_workloads::{workload, write_binary, WorkloadId};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -375,6 +377,74 @@ fn coordinator_survives_a_sigkilled_peer() {
         "peer-computed figures must be byte-identical to the in-process run"
     );
 
+    let _ = peer_a.kill();
+    let _ = peer_b.kill();
+    let _ = peer_a.wait();
+    let _ = peer_b.wait();
+    coordinator.shutdown();
+}
+
+/// A trace sweep through a coordinator whose peers have never seen the
+/// trace: each peer is sent the trace's bytes before its first cell, so
+/// every cell completes, and the figures document equals the same sweep
+/// run on one server.
+#[test]
+fn coordinator_pushes_traces_to_its_peers() {
+    let (mut peer_a, addr_a) = spawn_peer();
+    let (mut peer_b, addr_b) = spawn_peer();
+    let peers = vec![addr_a.to_string(), addr_b.to_string()];
+    let coordinator = Server::start(ServerConfig {
+        workers: 1,
+        conn_threads: 4,
+        peers: peers.clone(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = coordinator.local_addr();
+
+    let recs = workload(WorkloadId::Pgbench, &SimScale { divisor: 256 }).records(0x5EED, 3_000);
+    let mut bytes = Vec::new();
+    write_binary(&mut bytes, recs).unwrap();
+    let resp = request_bytes(addr, "POST", "/v1/traces", &bytes, TIMEOUT).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let id = jsonin::parse(&resp.body).unwrap().get("id").unwrap().as_str().unwrap().to_string();
+
+    let spec = format!(
+        r#"{{"workload":{{"trace":"{id}"}},"mode":"live","accesses":8000,"scale":64,
+            "interval":[500,1000,2000,4000,8000,16000]}}"#
+    );
+    // Both peers own cells, so both must be sent the trace.
+    let ring = Ring::new(&peers);
+    let owners: HashSet<usize> = expand(&spec, 16)
+        .unwrap()
+        .iter()
+        .map(|body| ring.assign(parse_body(body, &Limits::default()).unwrap().key))
+        .collect();
+    assert_eq!(owners.len(), 2, "the grid must shard onto both peers");
+
+    let (id_sweep, _, _, cells) = submit_sweep(addr, &spec);
+    assert_eq!(cells, 6);
+    let (doc, counts) = wait_sweep(addr, id_sweep);
+    assert_eq!(doc.get("status").unwrap().as_str(), Some("done"), "{}", counts.to_json());
+    counts.check(true).unwrap();
+    assert_eq!((counts.done, counts.failed), (6, 0));
+    let cluster = get(addr, &format!("/v1/sweeps/{id_sweep}/figures"));
+    assert_eq!(cluster.status, 200, "{}", cluster.body);
+    for peer in [addr_a, addr_b] {
+        assert_eq!(get(peer, &format!("/v1/traces/{id}")).status, 200, "peer {peer}");
+    }
+
+    let single =
+        Server::start(ServerConfig { workers: 2, conn_threads: 4, ..ServerConfig::default() })
+            .unwrap();
+    let resp = request_bytes(single.local_addr(), "POST", "/v1/traces", &bytes, TIMEOUT).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let (id_single, ..) = submit_sweep(single.local_addr(), &spec);
+    wait_sweep(single.local_addr(), id_single);
+    let local = get(single.local_addr(), &format!("/v1/sweeps/{id_single}/figures"));
+    assert_eq!(cluster.body, local.body, "cluster figures must equal the single-server run");
+
+    single.shutdown();
     let _ = peer_a.kill();
     let _ = peer_b.kill();
     let _ = peer_a.wait();

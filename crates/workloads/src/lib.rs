@@ -20,8 +20,9 @@
 //!   footprints and pattern mixtures.
 //! * [`trace_io`] — trace-file export/import in the compact binary HMT1
 //!   format, matching the paper's trace-driven methodology.
-//! * [`replay`] — decoded-trace registry and the replay cursor that
-//!   streams recorded traces back through the simulation driver.
+//! * [`replay`] — the registry of validated traces, kept `HMT1`-encoded,
+//!   and the replay cursor that decodes them back through the simulation
+//!   driver.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

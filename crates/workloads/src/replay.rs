@@ -2,20 +2,22 @@
 //!
 //! The paper's methodology is trace-driven; [`crate::trace_io`] gives the
 //! workspace the `HMT1` on-disk format, and this module gives it the
-//! runtime half — a decoded, content-addressed trace that the simulation
-//! driver can stream exactly the way it streams a synthetic
+//! runtime half — a validated, content-addressed trace that the
+//! simulation driver can stream exactly the way it streams a synthetic
 //! [`TraceIter`]:
 //!
-//! * [`decode`] validates raw `HMT1` bytes into a [`TraceData`] (records
-//!   plus a [`TraceSummary`] of the behaviour-relevant facts: content
-//!   hash, record count, tick span, highest line address, read count).
+//! * [`decode`] validates raw `HMT1` bytes into a [`TraceData`]: the
+//!   bytes themselves, still encoded, plus a [`TraceSummary`] of the
+//!   behaviour-relevant facts (content hash, record count, tick span,
+//!   highest line address, read count). A registered trace therefore
+//!   costs its file size in memory, not a decoded record array.
 //! * A process-global registry ([`register`]/[`lookup`]/[`unregister`])
-//!   maps content hashes to decoded traces, so a `RunConfig` can name a
+//!   maps content hashes to validated traces, so a `RunConfig` can name a
 //!   trace by hash alone and stay `Copy`.
-//! * [`ReplayIter`] streams a registered trace in driver-sized blocks,
-//!   wrapping around with rebased ticks when the requested access count
-//!   exceeds the trace length, and serializes its cursor for
-//!   snapshot/resume.
+//! * [`ReplayIter`] decodes a registered trace as it streams it in
+//!   driver-sized blocks, wrapping around with rebased ticks when the
+//!   requested access count exceeds the trace length, and serializes its
+//!   cursor (record position and lap offset) for snapshot/resume.
 //! * [`TraceSource`] unifies the synthetic and replay paths behind the
 //!   one interface the driver loop uses (`next_block` +
 //!   `save_state`/`load_state`); the synthetic arm delegates verbatim so
@@ -68,47 +70,21 @@ impl TraceSummary {
     }
 }
 
-/// A decoded trace: the summary plus the records themselves.
+/// A validated trace: its summary and its `HMT1` bytes, kept encoded —
+/// one copy, at the file's size — and decoded as it is replayed.
 #[derive(Debug)]
 pub struct TraceData {
     /// Behaviour-relevant facts (identity, counts, span).
     pub summary: TraceSummary,
-    /// The decoded records, in file order, 16 bytes each.
-    records: Vec<PackedRecord>,
+    /// The `HMT1` bytes [`decode`] validated, magic included.
+    bytes: Box<[u8]>,
 }
 
 impl TraceData {
-    /// The decoded records, in file order.
-    pub fn records(&self) -> impl ExactSizeIterator<Item = TraceRecord> + '_ {
-        self.records.iter().map(|p| p.unpack())
-    }
-}
-
-/// One decoded record in 16 bytes instead of a `TraceRecord`'s 24: the
-/// tick, and the line address above the `HMT1` flags byte
-/// (`line << 8 | write << 7 | cpu`). Lossless, because decoding refuses
-/// lines above [`MAX_LINE`](crate::trace_io::MAX_LINE) and a decoded
-/// address is always `line << 6`.
-#[derive(Debug, Clone, Copy)]
-struct PackedRecord {
-    tick: u64,
-    line_flags: u64,
-}
-
-impl PackedRecord {
-    fn pack(r: &TraceRecord) -> Self {
-        let flags = u64::from(r.cpu & 0x7f) | if r.is_write { 0x80 } else { 0 };
-        Self { tick: r.tick, line_flags: (r.addr.0 >> 6) << 8 | flags }
-    }
-
-    #[inline]
-    fn unpack(self) -> TraceRecord {
-        TraceRecord {
-            tick: self.tick,
-            cpu: (self.line_flags & 0x7f) as u8,
-            addr: PhysAddr((self.line_flags >> 8) << 6),
-            is_write: self.line_flags & 0x80 != 0,
-        }
+    /// The validated `HMT1` bytes, exactly as decoded: what a peer needs
+    /// to register the same trace under the same id.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
@@ -123,51 +99,23 @@ pub fn parse_trace_id(s: &str) -> Option<u64> {
 /// Decode and validate raw `HMT1` bytes. Errors carry the underlying
 /// format diagnostic ("not an HMT1 trace", "truncated varint", ...).
 ///
-/// The records are counted first, so the one allocation is made at its
-/// final size — never more than `bytes.len() / 3` records, whatever the
-/// input — instead of growing by doubling.
+/// One pass validates every record and builds the summary; the result
+/// keeps a copy of `bytes` and nothing else, so a decoded trace holds
+/// `bytes.len()` bytes whatever the input.
 pub fn decode(bytes: &[u8]) -> Result<TraceData, String> {
-    let mut records = Vec::with_capacity(count_records(bytes));
-    let (mut max_line, mut reads) = (0u64, 0u64);
+    let (mut records, mut last_tick, mut max_line, mut reads) = (0, 0, 0, 0);
     for rec in BinaryTraceReader::new(bytes) {
         let rec = rec.map_err(|e| e.to_string())?;
+        records += 1;
+        last_tick = rec.tick;
         max_line = max_line.max(rec.addr.0 >> 6);
         reads += u64::from(!rec.is_write);
-        records.push(PackedRecord::pack(&rec));
     }
-    let Some(last) = records.last() else {
+    if records == 0 {
         return Err("trace contains no records".into());
-    };
-    let summary = TraceSummary {
-        hash: snap_hash(bytes),
-        records: records.len() as u64,
-        last_tick: last.tick,
-        max_line,
-        reads,
-    };
-    Ok(TraceData { summary, records })
-}
-
-/// The records in `HMT1` bytes, counted from their framing without
-/// decoding them: each record is two varints and a flags byte. Exact for
-/// a well-formed trace; for any input at most `bytes.len() / 3`, since a
-/// counted record spans at least three bytes.
-fn count_records(bytes: &[u8]) -> usize {
-    let body = bytes.get(MAGIC.len()..).unwrap_or_default();
-    let (mut records, mut at) = (0, 0);
-    loop {
-        for _varint in 0..2 {
-            while body.get(at).is_some_and(|b| b & 0x80 != 0) {
-                at += 1;
-            }
-            at += 1;
-        }
-        at += 1; // flags
-        if at > body.len() {
-            return records;
-        }
-        records += 1;
     }
+    let summary = TraceSummary { hash: snap_hash(bytes), records, last_tick, max_line, reads };
+    Ok(TraceData { summary, bytes: bytes.into() })
 }
 
 fn registry() -> &'static Mutex<FxHashMap<u64, Arc<TraceData>>> {
@@ -199,8 +147,42 @@ pub fn unregister(hash: u64) {
     registry().lock().unwrap().remove(&hash);
 }
 
+/// One LEB128 varint at `*at` of bytes [`decode`] validated, so it is
+/// complete and at most ten bytes long.
+#[inline(always)]
+fn varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut byte = bytes[*at];
+    *at += 1;
+    let (mut v, mut shift) = (u64::from(byte & 0x7f), 7);
+    while byte & 0x80 != 0 {
+        byte = bytes[*at];
+        *at += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        shift += 7;
+    }
+    v
+}
+
+/// The validated record at `*at`; `*tick` holds the previous record's
+/// tick and advances to this one's.
+#[inline(always)]
+fn next_record(bytes: &[u8], at: &mut usize, tick: &mut u64) -> TraceRecord {
+    *tick += varint(bytes, at);
+    let line = varint(bytes, at);
+    let flags = bytes[*at];
+    *at += 1;
+    TraceRecord {
+        tick: *tick,
+        cpu: flags & 0x7f,
+        addr: PhysAddr(line << 6),
+        is_write: flags & 0x80 != 0,
+    }
+}
+
 /// Streaming cursor over a registered trace, with wrap-around.
 ///
+/// It decodes the trace's bytes as it advances, so it carries the byte
+/// offset of the next record and the running tick the deltas add to.
 /// When the driver asks for more records than the trace holds, the
 /// cursor wraps to the start and rebases ticks by `last_tick + 1`, so
 /// the stream's timestamps stay strictly increasing across laps (the
@@ -208,8 +190,12 @@ pub fn unregister(hash: u64) {
 #[derive(Debug, Clone)]
 pub struct ReplayIter {
     data: Arc<TraceData>,
-    /// Next record index within the trace.
+    /// Records of the current lap already streamed: the snapshot cursor.
     pos: usize,
+    /// Byte offset of the next record within the trace's bytes.
+    at: usize,
+    /// Tick of the last record streamed in this lap (0 at a lap's start).
+    tick: u64,
     /// Tick offset accumulated by completed laps.
     tick_base: u64,
 }
@@ -217,7 +203,7 @@ pub struct ReplayIter {
 impl ReplayIter {
     /// Start a cursor at the beginning of `data`.
     pub fn new(data: Arc<TraceData>) -> Self {
-        Self { data, pos: 0, tick_base: 0 }
+        Self { data, pos: 0, at: MAGIC.len(), tick: 0, tick_base: 0 }
     }
 
     /// Refill `out` with the next `n` records (same contract as
@@ -225,22 +211,26 @@ impl ReplayIter {
     pub fn next_block(&mut self, out: &mut Vec<TraceRecord>, n: usize) {
         out.clear();
         out.reserve(n);
-        let recs = &self.data.records;
+        let bytes = self.data.bytes();
+        let (mut pos, mut at, mut tick) = (self.pos, self.at, self.tick);
         for _ in 0..n {
-            if self.pos == recs.len() {
-                self.pos = 0;
+            if at == bytes.len() {
+                (pos, at, tick) = (0, MAGIC.len(), 0);
                 self.tick_base += self.data.summary.last_tick + 1;
             }
-            let mut rec = recs[self.pos].unpack();
+            let mut rec = next_record(bytes, &mut at, &mut tick);
             rec.tick += self.tick_base;
             out.push(rec);
-            self.pos += 1;
+            pos += 1;
         }
+        (self.pos, self.at, self.tick) = (pos, at, tick);
     }
 
-    /// Serialize the cursor (snapshot/resume support). The records are
-    /// rebuilt from the registered trace on resume, exactly as the
-    /// synthetic generator rebuilds its patterns from the config.
+    /// Serialize the cursor (snapshot/resume support): the record
+    /// position within the lap and the lap's tick offset. The byte
+    /// offset and running tick are rebuilt from the registered trace on
+    /// resume, exactly as the synthetic generator rebuilds its patterns
+    /// from the config.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.section(b"trcr");
         w.usize(self.pos);
@@ -248,19 +238,26 @@ impl ReplayIter {
         w.end_section();
     }
 
-    /// Restore a cursor saved by [`ReplayIter::save_state`].
+    /// Restore a cursor saved by [`ReplayIter::save_state`], re-seeking
+    /// by decoding the lap's first `pos` records.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
         r.section(b"trcr")?;
         let pos = r.usize()?;
-        if pos > self.data.records.len() {
+        if pos as u64 > self.data.summary.records {
             return Err(format!(
                 "replay cursor {pos} is past the trace's {} records",
-                self.data.records.len()
+                self.data.summary.records
             ));
         }
-        self.pos = pos;
-        self.tick_base = r.u64()?;
-        r.end_section()
+        let tick_base = r.u64()?;
+        r.end_section()?;
+        let bytes = self.data.bytes();
+        let (mut at, mut tick) = (MAGIC.len(), 0);
+        for _ in 0..pos {
+            next_record(bytes, &mut at, &mut tick);
+        }
+        (self.pos, self.at, self.tick, self.tick_base) = (pos, at, tick, tick_base);
+        Ok(())
     }
 }
 
@@ -319,25 +316,39 @@ mod tests {
         buf
     }
 
+    /// One lap of `data`, as the replay cursor decodes it.
+    fn replayed(data: &Arc<TraceData>) -> Vec<TraceRecord> {
+        let mut out = Vec::new();
+        ReplayIter::new(data.clone()).next_block(&mut out, data.summary.records as usize);
+        out
+    }
+
+    /// `bytes` as the validating stream reader decodes them.
+    fn read_back(bytes: &[u8]) -> Vec<TraceRecord> {
+        BinaryTraceReader::new(bytes).collect::<std::io::Result<_>>().unwrap()
+    }
+
     #[test]
     fn decode_builds_an_exact_summary() {
         let bytes = sample_bytes(2_000, 7);
         let data = decode(&bytes).unwrap();
+        let records = read_back(&bytes);
+        assert_eq!(data.bytes(), &bytes[..]);
         assert_eq!(data.summary.hash, snap_hash(&bytes));
         assert_eq!(data.summary.records, 2_000);
-        assert_eq!(data.summary.last_tick, data.records().last().unwrap().tick);
-        let max = data.records().map(|r| r.addr.0 >> 6).max().unwrap();
+        assert_eq!(data.summary.last_tick, records.last().unwrap().tick);
+        let max = records.iter().map(|r| r.addr.0 >> 6).max().unwrap();
         assert_eq!(data.summary.max_line, max);
-        let reads = data.records().filter(|r| !r.is_write).count() as u64;
+        let reads = records.iter().filter(|r| !r.is_write).count() as u64;
         assert_eq!(data.summary.reads, reads);
         assert!(data.summary.footprint_bytes() > 0);
         assert!((0.0..=1.0).contains(&data.summary.read_fraction()));
     }
 
-    /// Every field of `write_binary` output survives the 16-byte packed
-    /// form, at the edges of each field's range.
+    /// The replay cursor's decoder reproduces every field of
+    /// `write_binary` output, at the edges of each field's range.
     #[test]
-    fn decode_round_trips_every_field() {
+    fn replay_decodes_every_field() {
         let mut recs = workload(WorkloadId::Pgbench, &SimScale { divisor: 256 }).records(17, 500);
         let mut tick = recs.last().unwrap().tick;
         for (cpu, line, is_write) in
@@ -348,9 +359,10 @@ mod tests {
         }
         let mut bytes = Vec::new();
         write_binary(&mut bytes, recs.iter().copied()).unwrap();
-        let data = decode(&bytes).unwrap();
-        assert_eq!(data.records().len(), recs.len());
-        for (want, got) in recs.iter().zip(data.records()) {
+        let data = Arc::new(decode(&bytes).unwrap());
+        let got = replayed(&data);
+        assert_eq!(got.len(), recs.len());
+        for (want, got) in recs.iter().zip(got) {
             // The format stores line addresses; everything else is exact.
             let line_addr = PhysAddr(want.addr.0 & !63);
             assert_eq!(got, TraceRecord { addr: line_addr, ..*want });
@@ -385,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_lines_beyond_the_packed_form() {
+    fn decode_rejects_lines_beyond_56_bits() {
         assert!(decode(&crafted(0, MAX_LINE)).is_ok());
         for line in [MAX_LINE + 1, 1 << 58, u64::MAX] {
             let err = decode(&crafted(0, line)).unwrap_err();
@@ -406,7 +418,7 @@ mod tests {
         let recs = workload(WorkloadId::Pgbench, &SimScale { divisor: 256 }).records(23, 60);
         let mut bytes = Vec::new();
         write_binary(&mut bytes, recs.iter().copied()).unwrap();
-        let full: Vec<TraceRecord> = decode(&bytes).unwrap().records().collect();
+        let full = replayed(&Arc::new(decode(&bytes).unwrap()));
         let mut boundaries = vec![MAGIC.len()];
         for n in 1..=recs.len() {
             let mut prefix = Vec::new();
@@ -416,31 +428,41 @@ mod tests {
         for cut in 0..bytes.len() {
             match boundaries.iter().position(|&b| b == cut) {
                 Some(n) if n > 0 => {
-                    let data = decode(&bytes[..cut]).unwrap();
-                    assert!(data.records().eq(full[..n].iter().copied()), "cut {cut}");
+                    let data = Arc::new(decode(&bytes[..cut]).unwrap());
+                    assert_eq!(replayed(&data), full[..n], "cut {cut}");
                 }
                 _ => assert!(decode(&bytes[..cut]).is_err(), "cut {cut} decoded"),
             }
         }
     }
 
-    /// The count pass sizes the one allocation; on any input it stays
-    /// within a third of the byte count.
+    /// A decoded trace holds `bytes.len()` bytes: the validated input
+    /// and nothing else. Hostile input never panics: it fails with a
+    /// diagnostic, or it validates, and then the replay cursor — which
+    /// trusts validation — streams exactly what the stream reader reads.
     #[test]
-    fn record_count_is_exact_and_bounded_by_a_third_of_the_bytes() {
+    fn decoded_trace_holds_its_bytes_and_hostile_input_errs() {
         let bytes = sample_bytes(1_000, 29);
-        assert_eq!(count_records(&bytes), 1_000);
-        assert!(decode(&bytes).unwrap().records.capacity() <= bytes.len() / 3);
+        let data = decode(&bytes).unwrap();
+        assert_eq!(data.summary.records, 1_000);
+        assert_eq!(data.bytes(), &bytes[..]);
+        let check = |hostile: &[u8]| match decode(hostile) {
+            Err(e) => assert!(!e.is_empty()),
+            Ok(data) => {
+                assert_eq!(data.bytes().len(), hostile.len());
+                let data = Arc::new(data);
+                assert_eq!(replayed(&data), read_back(hostile));
+            }
+        };
         let mut rng = hmm_sim_base::rng::SimRng::new(31);
         for len in 0..600 {
             let mut hostile = MAGIC.to_vec();
             hostile.extend((0..len).map(|_| rng.next_u64() as u8));
-            assert!(count_records(&hostile) <= hostile.len() / 3, "len {len}");
-            let _ = decode(&hostile);
+            check(&hostile);
         }
         for fill in [0x00, 0x01, 0x7f, 0x80, 0xff] {
             let hostile: Vec<u8> = MAGIC.iter().copied().chain([fill; 999]).collect();
-            assert!(count_records(&hostile) <= hostile.len() / 3, "fill {fill:#x}");
+            check(&hostile);
         }
     }
 
@@ -512,26 +534,40 @@ mod tests {
         }
     }
 
+    /// A snapshot at every record position — the start, inside a lap,
+    /// exactly `records` (a wrap due but not taken), and laps past a
+    /// wrap — resumes into the uninterrupted stream; a cursor past the
+    /// trace's end is refused.
     #[test]
-    fn replay_cursor_snapshots_and_resumes() {
-        let bytes = sample_bytes(120, 13);
+    fn replay_cursor_resumes_from_every_position() {
+        let bytes = sample_bytes(40, 13);
         let data = Arc::new(decode(&bytes).unwrap());
+        let total = 130;
         let mut reference = Vec::new();
-        ReplayIter::new(data.clone()).next_block(&mut reference, 400);
+        ReplayIter::new(data.clone()).next_block(&mut reference, total);
+        for cut in 0..=total {
+            let mut it = ReplayIter::new(data.clone());
+            let mut head = Vec::new();
+            it.next_block(&mut head, cut);
+            let mut w = SnapWriter::new();
+            it.save_state(&mut w);
+            let snap = w.into_bytes();
 
-        let mut it = ReplayIter::new(data.clone());
-        let mut head = Vec::new();
-        it.next_block(&mut head, 250);
+            let mut resumed = ReplayIter::new(data.clone());
+            resumed.load_state(&mut SnapReader::new(&snap)).unwrap();
+            let mut tail = Vec::new();
+            resumed.next_block(&mut tail, total - cut);
+            head.extend_from_slice(&tail);
+            assert_eq!(head, reference, "snapshot after {cut} records");
+        }
+
         let mut w = SnapWriter::new();
-        it.save_state(&mut w);
+        w.section(b"trcr");
+        w.usize(41);
+        w.u64(0);
+        w.end_section();
         let snap = w.into_bytes();
-
-        let mut resumed = ReplayIter::new(data);
-        let mut r = SnapReader::new(&snap);
-        resumed.load_state(&mut r).unwrap();
-        let mut tail = Vec::new();
-        resumed.next_block(&mut tail, 150);
-        head.extend_from_slice(&tail);
-        assert_eq!(head, reference);
+        let err = ReplayIter::new(data).load_state(&mut SnapReader::new(&snap)).unwrap_err();
+        assert!(err.contains("past the trace's 40 records"), "{err}");
     }
 }

@@ -10,7 +10,10 @@
 //!
 //! The format (HMT1, `.hmt`) is a compact delta encoding: LEB128 varints
 //! for the tick delta and the line address, one byte for cpu +
-//! read/write. A typical record costs 4-8 bytes instead of 18.
+//! read/write. A typical record costs 4-8 bytes instead of 18, and
+//! never less than 3. [`BinaryTraceReader`] is the validating decoder:
+//! `replay::decode` runs it once over an upload, and the replay registry
+//! then keeps the bytes in this form, decoding them again as it streams.
 
 use crate::trace::TraceRecord;
 use hmm_sim_base::addr::PhysAddr;
@@ -20,9 +23,8 @@ use std::io::{self, Read, Write};
 pub const MAGIC: [u8; 4] = *b"HMT1";
 
 /// Largest line address (`addr >> 6`) the binary format carries: 56
-/// bits, so a line packs above its flags byte into one `u64`
-/// (`line << 8 | flags`, the replay registry's record form) and
-/// `line << 6` is always a valid byte address.
+/// bits, so `line << 6` is always a valid byte address. The reader
+/// refuses larger lines rather than wrapping them.
 pub const MAX_LINE: u64 = (1 << 56) - 1;
 
 fn line_out_of_range(kind: io::ErrorKind, line: u64) -> io::Error {
