@@ -279,8 +279,9 @@ fn main() {
     // workload generator, so a crash mid-simulation still leaves a
     // usable recording.
     if let Some(path) = &trace_out {
-        let recs =
-            hmm_workloads::workload(workload, &cfg.scale).records(cfg.seed, cfg.accesses as usize);
+        let recs = hmm_workloads::workload(workload, &cfg.scale)
+            .iter(cfg.seed)
+            .take(cfg.accesses as usize);
         let mut bytes = Vec::new();
         let written = write_binary(&mut bytes, recs)
             .unwrap_or_else(|e| fail(&format!("encoding trace: {e}")));

@@ -2,16 +2,20 @@
 //! no drain, no warning — restart it over the same `--store-dir`, and
 //! require that (a) previously answered requests come back as cache
 //! hits with byte-identical bodies, (b) a hand-corrupted store entry is
-//! quarantined rather than served, and (c) a job killed mid-simulation
+//! quarantined rather than served, (c) a job killed mid-simulation
 //! resumes from its last checkpoint and still produces the exact bytes
-//! an uninterrupted run produces.
+//! an uninterrupted run produces, and (d) a checkpoint in a snapshot
+//! format this build no longer reads restarts its job from scratch,
+//! with the same bytes.
 
 #![cfg(unix)]
 
 use hmm_serve::client::request;
 use hmm_serve::request::{parse_body, Limits};
 use hmm_serve::response::render_run;
-use hmm_simulator::driver::run;
+use hmm_serve::{ServerMetrics, Store};
+use hmm_sim_base::snap::snap_hash;
+use hmm_simulator::driver::{run, run_resumable, SnapshotCtl};
 use hmm_telemetry::jsonin;
 use std::fs;
 use std::io::{BufRead, BufReader};
@@ -207,4 +211,53 @@ fn sigkill_mid_job_resumes_from_checkpoint_bit_identically() {
 
     graceful_exit(child, addr);
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn format_1_checkpoint_restarts_fresh_with_identical_bytes() {
+    let body = r#"{"workload":"pgbench","mode":"live","accesses":20000,"scale":64}"#;
+    let sim = parse_body(body, &Limits::default()).expect("reference parse");
+    let reference = render_run(&sim.canonical, &run(&sim.cfg));
+
+    // What an older build leaves on the shelf: this run's first snapshot
+    // in a format-1 container (format 1 also carried the warm-up
+    // completions). Restamp the u32 after the 8-byte magic and reseal
+    // the trailing checksum, so only the format tells it apart.
+    let mut snaps = Vec::new();
+    let mut sink = |_submitted: u64, bytes: Vec<u8>| snaps.push(bytes);
+    run_resumable(&sim.cfg, SnapshotCtl { resume_from: None, every: 5_000, sink: Some(&mut sink) })
+        .expect("capture run");
+    let mut old = snaps.swap_remove(0);
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let end = old.len() - 8;
+    let sum = snap_hash(&old[..end]);
+    old[end..].copy_from_slice(&sum.to_le_bytes());
+
+    let dir = tmpdir("format1");
+    Store::open(&dir, 0).expect("open store").write_checkpoint(
+        sim.key,
+        &sim.canonical,
+        &old,
+        &ServerMetrics::default(),
+    );
+    let checkpoints = dir.join("checkpoints");
+    assert_eq!(fs::read_dir(&checkpoints).unwrap().count(), 1);
+
+    // Boot re-admits the checkpointed job; its worker finds the snapshot
+    // refused, runs the job fresh, and the request gets that answer.
+    let flags =
+        ["--store-dir", dir.to_str().unwrap(), "--snapshot-every", "5000", "--workers", "1"];
+    // Everything is read before the asserts, so a failing one does not
+    // leave the server running.
+    let (child, addr) = spawn_server(&flags);
+    let resp = request(addr, "POST", "/v1/simulate", body, TIMEOUT).expect("simulate");
+    let resumed = metric(addr, "resumed_jobs");
+    let left = fs::read_dir(&checkpoints).unwrap().count();
+    graceful_exit(child, addr);
+    let _ = fs::remove_dir_all(&dir);
+
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.body, reference, "a fresh restart must match the uninterrupted run exactly");
+    assert_eq!(resumed, 0.0, "a format-1 snapshot must not resume");
+    assert_eq!(left, 0, "the refused checkpoint must be gone once the job has finished");
 }

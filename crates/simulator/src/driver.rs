@@ -11,14 +11,15 @@ use crate::snapshot;
 use crate::wire::{canonical_json, fxhash64};
 use hmm_core::controller::DemandCompletion;
 use hmm_core::{
-    build_scheme, ControllerConfig, ControllerStats, MigrationPolicy, Mode, SchemeId, SwapStats,
+    build_scheme, ControllerConfig, ControllerStats, MigrationPolicy, Mode, PlacementScheme,
+    SchemeId, SwapStats,
 };
 use hmm_dram::{DeviceProfile, RegionStats, SchedPolicy, WearStats};
 use hmm_fault::FaultPlan;
 use hmm_sim_base::config::{MachineConfig, MemoryGeometry, SimScale};
 use hmm_sim_base::par_map;
 use hmm_sim_base::snap::{SnapReader, SnapWriter};
-use hmm_sim_base::stats::{AccessStats, LatencyBreakdown};
+use hmm_sim_base::stats::AccessStats;
 use hmm_telemetry::{NullSink, TelemetrySink};
 use hmm_workloads::replay::{self, ReplayIter};
 use hmm_workloads::{footprint_bytes, workload, TraceSource, WorkloadId};
@@ -352,12 +353,10 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
     let mut ctrl = build_scheme(cfg.scheme, controller_config(cfg, machine), cfg.migration, sink);
 
     let mut access = AccessStats::new();
-    // Completions drained before the warm-up boundary id is known are
-    // stashed and classified at the end (demand ids are monotone in
-    // submission order, so `id <= boundary` identifies warm-up accesses).
+    // The id of the last warm-up access once it has been submitted (0
+    // without a warm-up); only completions with higher ids are recorded.
     let mut warmup_boundary_id = if cfg.warmup == 0 { Some(0u64) } else { None };
-    let mut stash: Vec<DemandCompletion> = Vec::new();
-    // Reusable buffer for the periodic post-warm-up drains.
+    // Reusable buffer for the completion drains.
     let mut drained: Vec<DemandCompletion> = Vec::new();
     let mut submitted = 0u64;
     let config_hash = fxhash64(canonical_json(cfg).as_bytes());
@@ -377,20 +376,6 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
             return Err("snapshot header disagrees with payload".into());
         }
         warmup_boundary_id = if r.bool()? { Some(r.u64()?) } else { None };
-        stash = r.seq(|r| {
-            Ok(DemandCompletion {
-                id: r.u64()?,
-                finish: r.u64()?,
-                breakdown: LatencyBreakdown {
-                    dram_core: r.u64()?,
-                    queuing: r.u64()?,
-                    controller: r.u64()?,
-                    interconnect: r.u64()?,
-                },
-                on_package: r.bool()?,
-                is_write: r.bool()?,
-            })
-        })?;
         r.end_section()?;
         access.load_state(&mut r)?;
         trace.load_state(&mut r)?;
@@ -421,17 +406,7 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
             }
             ctrl.advance(rec.tick);
             if submitted.is_multiple_of(64) {
-                match warmup_boundary_id {
-                    Some(b) => {
-                        ctrl.drain_completed_into(&mut drained);
-                        for c in drained.drain(..) {
-                            if c.id > b {
-                                access.record(&c.breakdown, c.is_write, c.on_package);
-                            }
-                        }
-                    }
-                    None => ctrl.drain_completed_into(&mut stash),
-                }
+                record_completed(&mut *ctrl, &mut drained, warmup_boundary_id, &mut access);
             }
         }
         if ctl.every != 0 && submitted.is_multiple_of(ctl.every) && remaining > 0 {
@@ -446,16 +421,6 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
                         pw.u64(b);
                     }
                 }
-                pw.seq(&stash, |pw, c| {
-                    pw.u64(c.id);
-                    pw.u64(c.finish);
-                    pw.u64(c.breakdown.dram_core);
-                    pw.u64(c.breakdown.queuing);
-                    pw.u64(c.breakdown.controller);
-                    pw.u64(c.breakdown.interconnect);
-                    pw.bool(c.on_package);
-                    pw.bool(c.is_write);
-                });
                 pw.end_section();
                 access.save_state(&mut pw);
                 trace.save_state(&mut pw);
@@ -465,13 +430,7 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
         }
     }
     ctrl.flush();
-    ctrl.drain_completed_into(&mut stash);
-    let boundary = warmup_boundary_id.unwrap_or(u64::MAX);
-    for c in stash {
-        if c.id > boundary {
-            access.record(&c.breakdown, c.is_write, c.on_package);
-        }
-    }
+    record_completed(&mut *ctrl, &mut drained, warmup_boundary_id, &mut access);
 
     let (on_region, off_region) = ctrl.region_stats();
     Ok(RunResult {
@@ -484,6 +443,26 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
         geometry,
         wear: ctrl.wear(),
     })
+}
+
+/// Drain `ctrl`'s finished demand accesses through `buf` and record the
+/// ones after the warm-up access, whose id is `boundary`. Demand ids are
+/// handed out in submission order, so a completion drained before the
+/// warm-up access is submitted (`boundary` still `None`) belongs to the
+/// warm-up and is dropped here, at the drain that takes it.
+fn record_completed(
+    ctrl: &mut dyn PlacementScheme,
+    buf: &mut Vec<DemandCompletion>,
+    boundary: Option<u64>,
+    access: &mut AccessStats,
+) {
+    ctrl.drain_completed_into(buf);
+    let boundary = boundary.unwrap_or(u64::MAX);
+    for c in buf.drain(..) {
+        if c.id > boundary {
+            access.record(&c.breakdown, c.is_write, c.on_package);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -27,8 +27,11 @@ pub const ENGINE_VERSION: &str = "hmm-engine-v1";
 const MAGIC: u64 = u64::from_le_bytes(*b"HMMSNAP1");
 
 /// Container layout version (independent of [`ENGINE_VERSION`]: the
-/// format can survive engine changes and vice versa).
-const FORMAT: u32 = 1;
+/// format can survive engine changes and vice versa). Format 2 dropped
+/// the warm-up completions from the driver payload: the driver discards
+/// them at the drain that takes them, so a snapshot no longer grows with
+/// the warm-up length.
+const FORMAT: u32 = 2;
 
 /// Parsed snapshot header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,15 +160,14 @@ mod tests {
         assert!(err.contains("different configuration"), "{err}");
     }
 
-    #[test]
-    fn engine_stamp_mismatch_refused() {
-        // Re-seal with a foreign engine stamp by rebuilding the container
-        // manually (the public API never writes foreign stamps).
+    /// A well-formed container of config hash 9 with any format and
+    /// engine stamp, built by hand (the public API writes only this
+    /// build's).
+    fn container(format: u32, engine: &str) -> Vec<u8> {
         let payload = b"state";
-        let engine = "hmm-engine-v0-ancient";
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.extend_from_slice(&FORMAT.to_le_bytes());
+        buf.extend_from_slice(&format.to_le_bytes());
         buf.extend_from_slice(&(engine.len() as u64).to_le_bytes());
         buf.extend_from_slice(engine.as_bytes());
         buf.extend_from_slice(&9u64.to_le_bytes());
@@ -174,9 +176,25 @@ mod tests {
         buf.extend_from_slice(payload);
         let sum = snap_hash(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn engine_stamp_mismatch_refused() {
+        let buf = container(FORMAT, "hmm-engine-v0-ancient");
         assert!(peek(&buf).is_ok(), "header itself is well-formed");
         let err = open(&buf, 9).unwrap_err();
         assert!(err.contains("engine"), "{err}");
+    }
+
+    #[test]
+    fn format_1_refused() {
+        // Format 1 carried the warm-up completions in the driver payload;
+        // this build cannot parse it. The same container at this build's
+        // format is exactly what `seal` writes.
+        assert_eq!(container(FORMAT, ENGINE_VERSION), seal(9, 0, b"state"));
+        let err = open(&container(1, ENGINE_VERSION), 9).unwrap_err();
+        assert!(err.contains("unsupported snapshot format 1"), "{err}");
     }
 
     #[test]

@@ -96,11 +96,36 @@ fn misaligned_cadence_resumes_identically() {
 
 #[test]
 fn pre_warmup_snapshot_resumes_identically() {
-    // A snapshot taken before the warm-up boundary carries the stash of
-    // unclassified completions.
+    // A snapshot taken before the warm-up boundary carries no boundary
+    // id yet; completions drained before it are dropped at the drain, so
+    // a resumed run must still record exactly the post-warm-up ones.
     let mut cfg = small(WorkloadId::Pgbench, Mode::Dynamic(MigrationDesign::LiveMigration));
     cfg.warmup = 1_000;
     assert_resume_identical(&cfg, 250);
+}
+
+#[test]
+fn snapshot_size_does_not_grow_with_the_warm_up() {
+    // Warm-up completions are dropped at the drain that takes them, so a
+    // capture inside a long warm-up holds in-flight state only.
+    let size_at_5000 = |warmup: u64| {
+        let cfg = RunConfig {
+            accesses: 10_000,
+            warmup,
+            ..RunConfig::quick(WorkloadId::Pgbench, Mode::Dynamic(MigrationDesign::LiveMigration))
+        };
+        let mut sizes = Vec::new();
+        let mut sink = |_: u64, bytes: Vec<u8>| sizes.push(bytes.len());
+        run_resumable(&cfg, SnapshotCtl { resume_from: None, every: 5_000, sink: Some(&mut sink) })
+            .unwrap();
+        assert_eq!(sizes.len(), 1, "one capture, at access 5,000");
+        sizes[0]
+    };
+    let (in_warmup, no_warmup) = (size_at_5000(8_000), size_at_5000(0));
+    assert!(
+        in_warmup <= no_warmup,
+        "capture inside the warm-up is {in_warmup} bytes, without a warm-up {no_warmup}"
+    );
 }
 
 #[test]

@@ -23,7 +23,7 @@ fn main() -> io::Result<()> {
     // 1. Record 200k accesses of the indexer workload.
     let mut bytes = Vec::new();
     let written =
-        write_binary(&mut bytes, workload(WorkloadId::Indexer, &scale).records(42, 200_000))?;
+        write_binary(&mut bytes, workload(WorkloadId::Indexer, &scale).iter(42).take(200_000))?;
     std::fs::write(&path, &bytes)?;
     println!("recorded {written} accesses to {}", path.display());
     println!(
