@@ -21,7 +21,6 @@
 //! document `hmm-bench sweep --spec @<spec> --out <file>` writes and
 //! `POST /v1/sweeps` serves.
 
-use hmm_bench::jsonin::{self, Json};
 use hmm_bench::sweep::figures_from_spec;
 use hmm_bench::{cells, f1, f2, human_bytes, pct, render_table};
 use hmm_core::hardware_bits;
@@ -32,6 +31,7 @@ use hmm_sim_base::stats::effectiveness;
 use hmm_simulator::ipc::{ipc_for, Fig5Option};
 use hmm_simulator::missrate::{fig4_capacities, l3_miss_rates};
 use hmm_sweep::spec::render_json;
+use hmm_telemetry::jsonin::{self, Json};
 use hmm_workloads::{npb_footprint_mb, WorkloadId};
 
 const TABLE4: &str = include_str!("../../specs/table4.json");

@@ -1,8 +1,9 @@
 //! Command-line driver for one-off simulations.
 //!
 //! ```text
-//! hmm-sim --workload pgbench --mode live --page 64K --interval 1000 \
-//!         --accesses 400000 --scale 8 [--seed 42] [--on-package 512M] \
+//! hmm-sim --workload <name> --mode <mode> [--page <size>] [--interval <n>] \
+//!         [--accesses <n>] [--warmup <n>] [--scale <divisor>] [--seed <n>] \
+//!         [--on-package <size>] [--fcfs] \
 //!         [--scheme hetero|l4cache|pcm] [--policy hotcold|mlq] \
 //!         [--faults stress] [--fault-seed 7] \
 //!         [--trace-out t.hmt] [--trace-in <id|path>] [--trace-dir dir] \
@@ -21,6 +22,16 @@
 //! selects the migration policy (`hotcold` default, `mlq` multi-queue
 //! promotion). The default scheme's report is byte-identical to the
 //! pre-scheme binary — new lines appear only for non-default schemes.
+//!
+//! Each configuration flag is one field of the `POST /v1/simulate` body
+//! of the equivalent request, and `hmm_serve::request::parse_body`
+//! resolves that body: the defaults, the checks (power-of-two page,
+//! scheme/mode composition, memory geometry) and the warm-up rule
+//! (`--warmup` defaults to a fifth of `--accesses` and must be smaller)
+//! are the server's, without its admission cap on `--accesses`. The flag
+//! names are the field names, except that `--policy` sets `migration`,
+//! `--fcfs` sets `"policy":"fcfs"`, and `--on-package`/`--fault-seed`
+//! set `on_package`/`fault_seed`.
 //!
 //! Prints a latency/traffic report for the run; exit code 2 on bad usage
 //! (invalid flags and invalid values get a one-line error, never a panic).
@@ -51,19 +62,16 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use hmm_bench::{f1, f2, human_bytes};
-use hmm_core::{validate_scheme, MigrationPolicy, Mode, SchemeId};
-use hmm_dram::SchedPolicy;
-use hmm_fault::FaultPlan;
+use hmm_core::{MigrationPolicy, SchemeId};
 use hmm_power::{normalized_power, EnergyParams};
-use hmm_sim_base::config::{parse_size, SimScale};
+use hmm_serve::request::{parse_body, Limits};
 use hmm_sim_base::cycles::CpuClock;
-use hmm_simulator::driver::{run_with_sink, RunConfig, TraceRef};
-use hmm_simulator::wire::canonical_json;
+use hmm_simulator::driver::run_with_sink;
 use hmm_telemetry::{
-    count_kind, epoch_rows, write_chrome_trace, write_epoch_csv, write_jsonl, EventKind, Recorder,
-    RecorderConfig, TelemetryLevel,
+    count_kind, epoch_rows, write_chrome_trace, write_epoch_csv, write_jsonl, EventKind,
+    JsonObject, Recorder, RecorderConfig, TelemetryLevel,
 };
-use hmm_workloads::{replay, write_binary, WorkloadId};
+use hmm_workloads::{replay, write_binary};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -93,10 +101,10 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Resolve `--trace-in`: a 16-hex id against the `--trace-dir` registry,
-/// anything else as a path to an `HMT1` file. Either way the trace ends
-/// up registered for replay and identified by its content hash.
-fn resolve_trace(spec: &str, dir: Option<&str>) -> TraceRef {
+/// Resolve `--trace-in` to a trace id: a 16-hex id against the
+/// `--trace-dir` registry, anything else as a path to an `HMT1` file.
+/// Either way the trace ends up registered for replay.
+fn resolve_trace(spec: &str, dir: Option<&str>) -> String {
     if let Some(hash) = replay::parse_trace_id(spec) {
         let Some(dir) = dir else {
             fail("--trace-in with a trace id requires --trace-dir <registry dir>")
@@ -107,34 +115,25 @@ fn resolve_trace(spec: &str, dir: Option<&str>) -> TraceRef {
         let summary = registry
             .get(hash)
             .unwrap_or_else(|| fail(&format!("unknown trace '{spec}' in registry {dir}")));
-        TraceRef::from_summary(&summary)
+        summary.id()
     } else {
         let bytes = std::fs::read(spec)
             .unwrap_or_else(|e| fail(&format!("cannot read trace file {spec}: {e}")));
         let data =
             replay::decode(&bytes).unwrap_or_else(|e| fail(&format!("invalid trace {spec}: {e}")));
-        let summary = data.summary;
+        let id = data.summary.id();
         replay::register(Arc::new(data));
-        TraceRef::from_summary(&summary)
+        id
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workload = None;
-    let mut mode = None;
-    let mut page = 64u64 << 10;
-    let mut interval = 1_000u64;
-    let mut accesses = 400_000u64;
-    let mut warmup = None;
-    let mut scale = 8u64;
-    let mut seed = 42u64;
-    let mut on_package = 512u64 << 20;
-    let mut policy = SchedPolicy::FrFcfs;
-    let mut scheme = SchemeId::Hetero;
-    let mut migration = MigrationPolicy::HotCold;
-    let mut faults: Option<FaultPlan> = None;
-    let mut fault_seed: Option<u64> = None;
+    if args.is_empty() {
+        usage()
+    }
+    // The run's configuration as a request body, one field per flag.
+    let mut body = JsonObject::new();
     let mut telemetry: Option<TelemetryLevel> = None;
     let mut trace_out: Option<String> = None;
     let mut trace_in: Option<String> = None;
@@ -148,37 +147,24 @@ fn main() {
     while let Some(a) = it.next() {
         let mut val =
             || it.next().cloned().unwrap_or_else(|| fail(&format!("{a} requires a value")));
-        let num = |flag: &str, v: String| {
+        let num = |flag: &str, v: &str| {
             v.parse::<u64>().unwrap_or_else(|_| fail(&format!("invalid number for {flag}: {v}")))
         };
-        let size = |flag: &str, v: String| {
-            parse_size(&v).unwrap_or_else(|| fail(&format!("invalid size for {flag}: {v}")))
-        };
         match a.as_str() {
-            "--workload" | "-w" => {
-                workload = Some(val().parse::<WorkloadId>().unwrap_or_else(|e| fail(&e)));
-            }
-            "--mode" | "-m" => {
-                mode = Some(val().parse::<Mode>().unwrap_or_else(|e| fail(&e)));
-            }
-            "--page" | "-p" => page = size("--page", val()),
-            "--interval" | "-i" => interval = num("--interval", val()),
-            "--accesses" | "-n" => accesses = num("--accesses", val()),
-            "--warmup" => warmup = Some(num("--warmup", val())),
-            "--scale" | "-s" => scale = num("--scale", val()),
-            "--seed" => seed = num("--seed", val()),
-            "--on-package" => on_package = size("--on-package", val()),
-            "--fcfs" => policy = SchedPolicy::Fcfs,
-            "--scheme" => scheme = val().parse().unwrap_or_else(|e: String| fail(&e)),
-            "--policy" => migration = val().parse().unwrap_or_else(|e: String| fail(&e)),
-            "--faults" | "-f" => {
-                let v = val();
-                faults = Some(
-                    FaultPlan::parse(&v)
-                        .unwrap_or_else(|e| fail(&format!("invalid --faults: {e}"))),
-                );
-            }
-            "--fault-seed" => fault_seed = Some(num("--fault-seed", val())),
+            "--workload" | "-w" => body = body.str("workload", &val()),
+            "--mode" | "-m" => body = body.str("mode", &val()),
+            "--page" | "-p" => body = body.str("page", &val()),
+            "--interval" | "-i" => body = body.u64("interval", num("--interval", &val())),
+            "--accesses" | "-n" => body = body.u64("accesses", num("--accesses", &val())),
+            "--warmup" => body = body.u64("warmup", num("--warmup", &val())),
+            "--scale" | "-s" => body = body.u64("scale", num("--scale", &val())),
+            "--seed" => body = body.u64("seed", num("--seed", &val())),
+            "--on-package" => body = body.str("on_package", &val()),
+            "--fcfs" => body = body.str("policy", "fcfs"),
+            "--scheme" => body = body.str("scheme", &val()),
+            "--policy" => body = body.str("migration", &val()),
+            "--faults" | "-f" => body = body.str("faults", &val()),
+            "--fault-seed" => body = body.u64("fault_seed", num("--fault-seed", &val())),
             "--telemetry" => telemetry = Some(val().parse().unwrap_or_else(|e: String| fail(&e))),
             "--trace-out" => trace_out = Some(val()),
             "--trace-in" => trace_in = Some(val()),
@@ -191,28 +177,30 @@ fn main() {
             other => {
                 if let Some(level) = other.strip_prefix("--telemetry=") {
                     telemetry = Some(level.parse().unwrap_or_else(|e: String| fail(&e)));
-                    continue;
+                } else if let Some(spec) = other.strip_prefix("--faults=") {
+                    body = body.str("faults", spec);
+                } else if let Some(s) = other.strip_prefix("--fault-seed=") {
+                    body = body.u64("fault_seed", num("--fault-seed", s));
+                } else {
+                    fail(&format!("unknown argument '{other}' (try --help)"))
                 }
-                if let Some(spec) = other.strip_prefix("--faults=") {
-                    faults = Some(
-                        FaultPlan::parse(spec)
-                            .unwrap_or_else(|e| fail(&format!("invalid --faults: {e}"))),
-                    );
-                    continue;
-                }
-                if let Some(s) = other.strip_prefix("--fault-seed=") {
-                    fault_seed = Some(num("--fault-seed", s.to_string()));
-                    continue;
-                }
-                fail(&format!("unknown argument '{other}' (try --help)"))
             }
         }
     }
-    match (&mut faults, fault_seed) {
-        (Some(plan), Some(s)) => plan.seed = s,
-        (None, Some(_)) => fail("--fault-seed requires --faults"),
-        _ => {}
+    if trace_in.is_some() && trace_out.is_some() {
+        fail("--trace-out cannot be combined with --trace-in (a replay would only copy the file)")
     }
+    // A replayed trace takes the workload slot, where it outranks any
+    // `--workload` token (exactly as in the serving layer).
+    if let Some(spec) = &trace_in {
+        let id = resolve_trace(spec, trace_dir.as_deref());
+        body = body.raw("workload", &JsonObject::new().str("trace", &id).finish());
+    }
+    // Local runs are not admission-controlled: no cap on `--accesses`.
+    let sim =
+        parse_body(&body.finish(), &Limits { max_accesses: u64::MAX }).unwrap_or_else(|e| fail(&e));
+    let cfg = &sim.cfg;
+
     // Any export flag implies full capture: the exporters need the event
     // stream, not just counters. (`--trace-out` records the access
     // stream, not telemetry events, so it does not count.)
@@ -229,57 +217,12 @@ fn main() {
         None if exports_requested => TelemetryLevel::Full,
         None => TelemetryLevel::Off,
     };
-    if trace_in.is_some() && trace_out.is_some() {
-        fail("--trace-out cannot be combined with --trace-in (a replay would only copy the file)")
-    }
-    let trace = trace_in.as_deref().map(|spec| resolve_trace(spec, trace_dir.as_deref()));
-    // A replayed trace takes the workload slot; the workload id is then
-    // an inert placeholder (exactly as in the serving layer).
-    let workload = match (&trace, workload) {
-        (Some(_), _) => WorkloadId::Pgbench,
-        (None, Some(w)) => w,
-        (None, None) => usage(),
-    };
-    let Some(mode) = mode else { usage() };
-    if let Err(e) = validate_scheme(scheme, mode, migration) {
-        fail(&e)
-    }
-    if !page.is_power_of_two() {
-        fail(&format!("--page must be a power of two, got {page}"))
-    }
-    if interval == 0 {
-        fail("--interval must be at least 1")
-    }
-    if accesses == 0 {
-        fail("--accesses must be at least 1")
-    }
-
-    let cfg = RunConfig {
-        workload,
-        mode,
-        page_shift: page.trailing_zeros(),
-        swap_interval: interval,
-        on_package_bytes: on_package,
-        scale: SimScale { divisor: scale.max(1) },
-        accesses,
-        warmup: warmup.unwrap_or(accesses / 5),
-        seed,
-        policy,
-        faults,
-        scheme,
-        migration,
-        trace,
-        ..RunConfig::paper(workload, mode)
-    };
-    if let Err(e) = cfg.geometry().validate() {
-        fail(&format!("invalid memory geometry: {e}"))
-    }
 
     // Record before running: the trace is a pure function of the
     // workload generator, so a crash mid-simulation still leaves a
     // usable recording.
     if let Some(path) = &trace_out {
-        let recs = hmm_workloads::workload(workload, &cfg.scale)
+        let recs = hmm_workloads::workload(cfg.workload, &cfg.scale)
             .iter(cfg.seed)
             .take(cfg.accesses as usize);
         let mut bytes = Vec::new();
@@ -298,22 +241,23 @@ fn main() {
             level: telemetry,
             // Sized to hold a whole run (demand + DRAM + migration events);
             // the recorder degrades to overwrite-oldest if this is exceeded.
-            // One shard: this run is single-threaded, and a lone thread only
-            // ever fills its own shard of the capacity.
-            capacity: (accesses as usize).saturating_mul(8).clamp(1 << 20, 8 << 20),
-            shards: 1,
+            capacity: (cfg.accesses as usize).saturating_mul(8).clamp(1 << 20, 8 << 20),
         })
     });
     let r = match &recorder {
-        Some(rec) => run_with_sink(&cfg, rec.clone()),
-        None => run_with_sink(&cfg, hmm_telemetry::NullSink),
+        Some(rec) => run_with_sink(cfg, rec.clone()),
+        None => run_with_sink(cfg, hmm_telemetry::NullSink),
     };
     println!("workload          : {}", r.workload);
-    println!("mode              : {mode:?}");
+    println!("mode              : {:?}", cfg.mode);
     // Only printed off the default path: hetero/hotcold output must stay
     // byte-identical to the pre-scheme report (the goldens pin it).
-    if scheme != SchemeId::Hetero || migration != MigrationPolicy::HotCold {
-        println!("scheme            : {} (migration policy {})", scheme.token(), migration.token());
+    if cfg.scheme != SchemeId::Hetero || cfg.migration != MigrationPolicy::HotCold {
+        println!(
+            "scheme            : {} (migration policy {})",
+            cfg.scheme.token(),
+            cfg.migration.token()
+        );
     }
     println!(
         "geometry          : {} total, {} on-package, {} pages, {} sub-blocks",
@@ -391,7 +335,7 @@ fn main() {
     // byte-identical to what `POST /v1/simulate` returns for the
     // equivalent request — CI `cmp`s the two.
     if let Some(path) = &body_out {
-        let body = hmm_serve::response::render_run(&canonical_json(&cfg), &r);
+        let body = hmm_serve::response::render_run(&sim.canonical, &r);
         if let Err(e) = std::fs::write(path, &body) {
             eprintln!("error: writing body to {path}: {e}");
             std::process::exit(1);

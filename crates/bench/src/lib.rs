@@ -6,11 +6,6 @@
 
 pub mod sweep;
 
-/// The workspace JSON reader now lives beside the writer in
-/// `hmm_telemetry`; re-exported here so `hmm_bench::jsonin` paths keep
-/// working.
-pub use hmm_telemetry::jsonin;
-
 use std::fmt::Display;
 
 /// Render a simple aligned text table.

@@ -22,8 +22,8 @@ use hmm_simulator::run_grid;
 use hmm_sweep::aggregate::{figures_doc, FIGURES_SCHEMA};
 use hmm_sweep::expand;
 
-use crate::jsonin::{self, Json};
 use crate::{cells, f1, render_table};
+use hmm_telemetry::jsonin::{self, Json};
 
 /// Expand a grid spec, run every unique cell in-process, and aggregate
 /// the rendered results into the `hmm-sweep-figures-v1` document.

@@ -3,6 +3,8 @@
 //! never a silent fallback. (The serve crate holds the same tests for
 //! `hmm-serve` and `hmm-loadgen`.)
 
+use hmm_serve::request::{parse_body, Limits};
+use hmm_serve::response::render_run;
 use std::process::{Command, Output};
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -39,6 +41,34 @@ fn hmm_sim_rejects_invalid_input_with_one_line() {
     assert_one_line_exit2(&run(bin, &with(&base, &["--accesses", "many"])), "many");
     assert_one_line_exit2(&run(bin, &with(&base, &["--seed"])), "--seed");
     assert_one_line_exit2(&run(bin, &with(&base, &["--faults", "bogus=1"])), "bogus");
+    // A warm-up that covers the whole run would measure nothing; the
+    // server refuses it, and so does the CLI.
+    assert_one_line_exit2(
+        &run(bin, &with(&base, &["--accesses", "1000", "--warmup", "1000"])),
+        "must be smaller",
+    );
+}
+
+/// hmm-sim resolves its flags through the server's `parse_body`, so a
+/// synthetic run's `--body-out` is the rendered answer to the equivalent
+/// `POST /v1/simulate` request, defaults included.
+#[test]
+fn hmm_sim_body_out_answers_the_equivalent_request() {
+    let bin = env!("CARGO_BIN_EXE_hmm-sim");
+    let dir = std::env::temp_dir().join(format!("hmm-sim-body-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("body.json");
+    let flags = ["--workload", "pgbench", "--mode", "live", "--accesses", "4000", "--scale", "64"];
+    let mut args = flags.to_vec();
+    args.extend(["--body-out", path.to_str().unwrap()]);
+    let out = run(bin, &args);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    let request = r#"{"workload":"pgbench","mode":"live","accesses":4000,"scale":64}"#;
+    let s = parse_body(request, &Limits::default()).unwrap();
+    let want = render_run(&s.canonical, &hmm_simulator::driver::run(&s.cfg));
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `--scheme`/`--policy` validation: unknown tokens, scheme/mode

@@ -138,7 +138,8 @@ impl ControllerConfig {
     }
 }
 
-/// A completed demand access returned by [`HeteroController::drain`].
+/// A completed demand access, taken by
+/// [`HeteroController::drain_completed_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DemandCompletion {
     /// The token returned by [`HeteroController::access`].
@@ -488,11 +489,6 @@ impl<S: TelemetrySink + Clone + Send> HeteroController<S> {
     /// hottest-vs-coldest trigger). Applies from the next epoch boundary.
     pub fn set_migration_policy(&mut self, policy: MigrationPolicy) {
         self.migration = policy;
-    }
-
-    /// The active swap-trigger rule.
-    pub fn migration_policy(&self) -> MigrationPolicy {
-        self.migration
     }
 
     /// Swap statistics, if migration is enabled.
@@ -1527,14 +1523,9 @@ impl<S: TelemetrySink + Clone + Send> HeteroController<S> {
         }
     }
 
-    /// Take all demand completions accumulated so far.
-    pub fn drain(&mut self) -> Vec<DemandCompletion> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Append accumulated demand completions to `out` (same values and
-    /// order as [`HeteroController::drain`]), the object-safe spelling
-    /// used through the [`crate::scheme::PlacementScheme`] trait.
+    /// Append the demand completions accumulated so far to `out`, in
+    /// completion order; the same spelling serves the
+    /// [`crate::scheme::PlacementScheme`] trait.
     pub fn drain_completed_into(&mut self, out: &mut Vec<DemandCompletion>) {
         out.append(&mut self.completed);
     }
@@ -1607,7 +1598,8 @@ mod tests {
             c.advance(now);
         }
         c.flush();
-        let done = c.drain();
+        let mut done = Vec::new();
+        c.drain_completed_into(&mut done);
         (c, done)
     }
 
@@ -1787,7 +1779,8 @@ mod tests {
             c.advance(now);
         }
         c.flush();
-        let done = c.drain();
+        let mut done = Vec::new();
+        c.drain_completed_into(&mut done);
         (c, done)
     }
 
@@ -1882,7 +1875,10 @@ mod tests {
         }
         c.flush();
         c0.flush();
-        assert_eq!(c.drain(), c0.drain(), "zero-rate plan must not perturb completions");
+        let (mut done, mut done0) = (Vec::new(), Vec::new());
+        c.drain_completed_into(&mut done);
+        c0.drain_completed_into(&mut done0);
+        assert_eq!(done, done0, "zero-rate plan must not perturb completions");
         assert_eq!(c.stats(), c0.stats());
         assert_eq!(c.swap_stats(), c0.swap_stats());
         // And the faulty-path counters all stayed at zero.

@@ -2,7 +2,9 @@
 //! the canonical form behind the result cache.
 //!
 //! A request body selects a simulation the same way the `hmm-sim` CLI
-//! does — same field names, same value spellings, same defaults:
+//! does — same field names, same value spellings, same defaults — because
+//! `hmm-sim` writes its configuration flags into a body and resolves it
+//! with [`parse_body`] too:
 //!
 //! ```json
 //! {"workload": "pgbench", "mode": "live", "page": "64K",
@@ -28,10 +30,11 @@
 //! how long the client waits, not what is simulated.
 //!
 //! The parser also accepts the canonical spelling itself — `page_shift`
-//! / `sub_block_shift` instead of sizes, `total`, `os_assisted`, and a
-//! structural `faults` object — so a canonical rendering is a valid
-//! request body. That closes the loop the sweep coordinator relies on:
-//! it ships a cell's canonical text verbatim as a peer's
+//! / `sub_block_shift` instead of sizes, `total`, `os_assisted`, a
+//! structural `faults` object, and a summary-carrying trace object — so a
+//! canonical rendering is a valid request body, and [`parse_body`] is the
+//! one reader of that text. That closes the loop the sweep coordinator
+//! relies on: it ships a cell's canonical text verbatim as a peer's
 //! `POST /v1/simulate` body, and the peer re-derives the same canonical
 //! form, hence the same cache key, on its side of the wire.
 
@@ -366,6 +369,12 @@ mod tests {
         );
         let f = parse_body(&full, &Limits::default()).unwrap();
         assert_eq!(f.key, r.key, "summary spelling and the seed must not change the key");
+
+        // The canonical text itself, summary included, reads back to the
+        // same text and key: it is a fixed point of the one parser.
+        let echoed = parse_body(&r.canonical, &Limits::default()).unwrap();
+        assert_eq!(echoed.canonical, r.canonical);
+        assert_eq!(echoed.key, r.key);
 
         // A forged summary is an integrity failure, not an override.
         let forged = format!(r#"{{"workload":{{"trace":"{id}","records":7}},"mode":"live"}}"#);

@@ -1,14 +1,11 @@
 //! Index-handle slab arena for hot-path object lifetimes.
 //!
-//! The simulator's per-epoch bookkeeping (in-flight migration legs,
-//! transaction metadata) used to live in hash maps keyed by ids — one
-//! hash per insert and one per lookup on the hot path. A [`Slab`] replaces
-//! the map with a flat vector and a free list: `insert` returns a dense
-//! `u32` handle, `get`/`remove` are direct indexing, and freed slots are
-//! recycled in LIFO order so steady-state churn touches the same few cache
-//! lines. [`Slab::reset`] drops every entry but keeps the allocation,
-//! which is what an epoch boundary wants: the next epoch's inserts reuse
-//! the warm storage instead of reallocating.
+//! The controller's in-flight migration copy legs used to live in a hash
+//! map keyed by id — one hash per insert and one per lookup on the hot
+//! path. A [`Slab`] replaces the map with a flat vector and a free list:
+//! `insert` returns a dense `u32` handle, `get_mut`/`remove` are direct
+//! indexing, and freed slots are recycled in LIFO order so steady-state
+//! churn touches the same few cache lines.
 
 /// Sentinel marking the end of the free list.
 const NIL: u32 = u32::MAX;
@@ -45,27 +42,6 @@ impl<T> Slab<T> {
         Self { entries: Vec::new(), free_head: NIL, len: 0 }
     }
 
-    /// An empty slab pre-sized for `cap` live entries.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { entries: Vec::with_capacity(cap), free_head: NIL, len: 0 }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Slots currently backing the slab (live + free), i.e. the high-water
-    /// mark of concurrent liveness since the last [`Slab::reset`].
-    pub fn capacity_in_use(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Store `value`, returning its handle. Reuses the most recently freed
     /// slot when one exists.
     pub fn insert(&mut self, value: T) -> u32 {
@@ -83,14 +59,6 @@ impl<T> Slab<T> {
             let idx = u32::try_from(self.entries.len()).expect("slab capacity exceeds u32");
             self.entries.push(Entry::Occupied(value));
             idx
-        }
-    }
-
-    /// Shared access to a live entry; `None` if the handle is stale.
-    pub fn get(&self, handle: u32) -> Option<&T> {
-        match self.entries.get(handle as usize) {
-            Some(Entry::Occupied(v)) => Some(v),
-            _ => None,
         }
     }
 
@@ -118,14 +86,6 @@ impl<T> Slab<T> {
                 panic!("slab handle {handle} removed twice");
             }
         }
-    }
-
-    /// Drop every entry but keep the backing allocation — the epoch-reset
-    /// operation: after `reset`, inserts refill the existing storage.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.free_head = NIL;
-        self.len = 0;
     }
 
     /// Serialize the slab, preserving the exact slot layout and free list:
@@ -187,27 +147,26 @@ mod tests {
         let mut s = Slab::new();
         let a = s.insert("a");
         let b = s.insert("b");
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(a), Some(&"a"));
-        assert_eq!(s.get(b), Some(&"b"));
+        assert_eq!(s.len, 2);
+        assert_eq!(s.get_mut(a), Some(&mut "a"));
+        assert_eq!(s.get_mut(b), Some(&mut "b"));
         assert_eq!(s.remove(a), "a");
-        assert_eq!(s.get(a), None, "removed handle must read as stale");
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.get_mut(a), None, "removed handle must read as stale");
+        assert_eq!(s.len, 1);
         assert_eq!(s.remove(b), "b");
-        assert!(s.is_empty());
+        assert_eq!(s.len, 0);
     }
 
     #[test]
     fn freed_slots_are_reused_lifo() {
         let mut s = Slab::new();
         let h: Vec<u32> = (0..4).map(|i| s.insert(i)).collect();
-        assert_eq!(s.capacity_in_use(), 4);
         s.remove(h[1]);
         s.remove(h[3]);
         // LIFO: the most recently freed slot comes back first.
         assert_eq!(s.insert(10), h[3]);
         assert_eq!(s.insert(11), h[1]);
-        assert_eq!(s.capacity_in_use(), 4, "churn must not grow the slab");
+        assert_eq!(s.entries.len(), 4, "churn must not grow the slab");
         assert_eq!(s.insert(12), 4, "full slab grows by appending");
     }
 
@@ -217,21 +176,6 @@ mod tests {
         let h = s.insert(1u64);
         *s.get_mut(h).unwrap() += 41;
         assert_eq!(s.remove(h), 42);
-    }
-
-    #[test]
-    fn reset_keeps_allocation_and_restarts_handles() {
-        let mut s = Slab::with_capacity(8);
-        for i in 0..8 {
-            s.insert(i);
-        }
-        s.reset();
-        assert!(s.is_empty());
-        assert_eq!(s.capacity_in_use(), 0);
-        // Fresh inserts restart from handle 0 in the retained storage.
-        assert_eq!(s.insert(100), 0);
-        assert_eq!(s.insert(101), 1);
-        assert_eq!(s.get(0), Some(&100));
     }
 
     #[test]
@@ -251,7 +195,7 @@ mod tests {
         for epoch in 0..10u64 {
             let hs: Vec<u32> = (0..16).map(|i| s.insert(epoch * 100 + i)).collect();
             for (i, h) in hs.iter().enumerate() {
-                assert_eq!(s.get(*h), Some(&(epoch * 100 + i as u64)));
+                assert_eq!(s.get_mut(*h), Some(&mut (epoch * 100 + i as u64)));
             }
             // Remove evens, insert replacements, then drain everything.
             for h in hs.iter().step_by(2) {
@@ -261,8 +205,8 @@ mod tests {
             for h in hs.iter().skip(1).step_by(2).chain(more.iter()) {
                 s.remove(*h);
             }
-            assert!(s.is_empty(), "epoch {epoch} should drain");
-            assert!(s.capacity_in_use() <= 24, "bounded by peak liveness");
+            assert_eq!(s.len, 0, "epoch {epoch} should drain");
+            assert!(s.entries.len() <= 24, "bounded by peak liveness");
         }
     }
 }

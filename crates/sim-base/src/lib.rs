@@ -18,8 +18,7 @@
 //! * [`fxhash`] — a deterministic integer-key hasher for the simulator's
 //!   hot-path bookkeeping maps (ids, tokens, slot indices).
 //! * [`arena`] — an index-handle [`arena::Slab`] arena replacing
-//!   hash maps for hot-path object lifetimes (in-flight migration legs),
-//!   with an epoch-reset that keeps the warm allocation.
+//!   hash maps for hot-path object lifetimes (in-flight migration legs).
 //! * [`par`] — a scoped-thread `par_map` for the embarrassingly parallel
 //!   experiment grids.
 //! * [`stats`] — running means, log-scaled histograms and latency-breakdown

@@ -8,12 +8,15 @@
 //! itself as the `POST /v1/simulate` body. All of that is only sound if
 //! the mapping is *bijective on behaviour*: equal configurations — and
 //! only equal configurations — produce equal strings, and the string
-//! parses back to the exact configuration it came from.
+//! reads back as the exact configuration it came from. The one reader
+//! is `hmm_serve::request::parse_body`, which accepts the canonical
+//! spelling as a request body; `hmm-sim` resolves its flags through the
+//! same function.
 //!
 //! Fault plans are rendered *structurally* (every [`FaultPlan`] field as
 //! a nested JSON object) rather than through `Debug`, so the canonical
 //! text survives `Debug`-format churn and can be parsed back by
-//! [`config_from_canonical`] without a Rust compiler in the loop.
+//! [`fault_plan_from_json`] without a Rust compiler in the loop.
 //!
 //! One representational limit, inherited from the `jsonin` reader: JSON
 //! numbers travel as `f64`, so integers above 2^53 are not exactly
@@ -23,13 +26,12 @@
 //! canonical form is no lossier than the requests that feed it.
 
 use crate::driver::{RunConfig, TraceRef};
-use hmm_core::{validate_scheme, MigrationPolicy, Mode, SchemeId};
+use hmm_core::{MigrationPolicy, SchemeId};
 use hmm_dram::SchedPolicy;
 use hmm_fault::{FaultPlan, FaultRegion, StuckBank, ThrottleSpec, MAX_STUCK_BANKS};
 use hmm_sim_base::FxHasher;
-use hmm_telemetry::jsonin::{self, Json};
+use hmm_telemetry::jsonin::Json;
 use hmm_telemetry::{JsonArray, JsonObject};
-use hmm_workloads::WorkloadId;
 use std::hash::Hasher;
 
 /// The workspace's deterministic 64-bit hash over a byte string: the
@@ -152,34 +154,6 @@ pub fn trace_ref_to_json(t: &TraceRef) -> String {
         .finish()
 }
 
-/// Parse the canonical workload-slot trace object back to a
-/// [`TraceRef`]. Unknown fields are rejected; a bare `{"trace": id}`
-/// (no summary) is reported distinctly so callers with a registry can
-/// resolve it themselves.
-pub fn trace_ref_from_json(v: &Json) -> Result<TraceRef, String> {
-    let Json::Obj(fields) = v else {
-        return Err("trace workload must be an object".into());
-    };
-    for (name, _) in fields {
-        if !["trace", "records", "ticks", "max_line"].contains(&name.as_str()) {
-            return Err(format!("unknown trace field '{name}'"));
-        }
-    }
-    let id = str_field(require(v, "trace")?, "trace")?;
-    let hash = hmm_workloads::replay::parse_trace_id(id)
-        .ok_or_else(|| format!("invalid trace id '{id}' (want 16 hex digits)"))?;
-    let t = TraceRef {
-        hash,
-        records: num_u64(require(v, "records")?, "records")?,
-        last_tick: num_u64(require(v, "ticks")?, "ticks")?,
-        max_line: num_u64(require(v, "max_line")?, "max_line")?,
-    };
-    if t.records == 0 {
-        return Err("trace 'records' must be at least 1".into());
-    }
-    Ok(t)
-}
-
 /// Parse a fault plan back from its [`fault_plan_to_json`] form.
 pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, String> {
     let Json::Obj(_) = v else {
@@ -268,94 +242,12 @@ pub fn canonical_json(cfg: &RunConfig) -> String {
     obj.finish()
 }
 
-/// Parse a canonical (or canonical-shaped) rendering back into the
-/// [`RunConfig`] it came from. This is the strict inverse of
-/// [`canonical_json`] — every field the renderer emits is required
-/// except the optional `os_assisted`/`faults`, unknown fields are
-/// rejected, and `canonical_json(config_from_canonical(s)?) == s` for
-/// any `s` the renderer produced.
-pub fn config_from_canonical(text: &str) -> Result<RunConfig, String> {
-    let doc = jsonin::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let Json::Obj(fields) = &doc else {
-        return Err("canonical config must be a JSON object".into());
-    };
-    const KNOWN: [&str; 16] = [
-        "workload",
-        "mode",
-        "page_shift",
-        "sub_block_shift",
-        "interval",
-        "accesses",
-        "warmup",
-        "scale",
-        "seed",
-        "on_package",
-        "total",
-        "policy",
-        "scheme",
-        "migration",
-        "os_assisted",
-        "faults",
-    ];
-    for (name, _) in fields {
-        if !KNOWN.contains(&name.as_str()) {
-            return Err(format!("unknown field '{name}'"));
-        }
-    }
-    let (workload, trace) = match require(&doc, "workload")? {
-        v @ Json::Obj(_) => {
-            // The workload token is inert under replay; the canonical
-            // placeholder keeps `RunConfig` total without a registry
-            // lookup.
-            (WorkloadId::Pgbench, Some(trace_ref_from_json(v)?))
-        }
-        v => (str_field(v, "workload")?.parse::<WorkloadId>()?, None),
-    };
-    let mode: Mode = str_field(require(&doc, "mode")?, "mode")?.parse()?;
-    let os_assisted = match doc.get("os_assisted") {
-        None => None,
-        Some(v) => Some(v.as_bool().ok_or("field 'os_assisted' must be a boolean")?),
-    };
-    let faults = match doc.get("faults") {
-        None => None,
-        Some(v) => Some(fault_plan_from_json(v)?),
-    };
-    let scheme: SchemeId = match doc.get("scheme") {
-        None => SchemeId::Hetero,
-        Some(v) => str_field(v, "scheme")?.parse()?,
-    };
-    let migration: MigrationPolicy = match doc.get("migration") {
-        None => MigrationPolicy::HotCold,
-        Some(v) => str_field(v, "migration")?.parse()?,
-    };
-    validate_scheme(scheme, mode, migration)?;
-    Ok(RunConfig {
-        workload,
-        mode,
-        page_shift: num_u32(require(&doc, "page_shift")?, "page_shift")?,
-        sub_block_shift: num_u32(require(&doc, "sub_block_shift")?, "sub_block_shift")?,
-        swap_interval: num_u64(require(&doc, "interval")?, "interval")?,
-        on_package_bytes: num_u64(require(&doc, "on_package")?, "on_package")?,
-        total_bytes: num_u64(require(&doc, "total")?, "total")?,
-        scale: hmm_sim_base::config::SimScale {
-            divisor: num_u64(require(&doc, "scale")?, "scale")?.max(1),
-        },
-        accesses: num_u64(require(&doc, "accesses")?, "accesses")?,
-        warmup: num_u64(require(&doc, "warmup")?, "warmup")?,
-        seed: num_u64(require(&doc, "seed")?, "seed")?,
-        os_assisted,
-        policy: policy_from_token(str_field(require(&doc, "policy")?, "policy")?)?,
-        faults,
-        scheme,
-        migration,
-        trace,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmm_core::MigrationDesign;
+    use hmm_core::Mode;
+    use hmm_telemetry::jsonin;
+    use hmm_workloads::WorkloadId;
 
     fn sample_plan() -> FaultPlan {
         FaultPlan {
@@ -401,50 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_config_round_trips() {
-        let mut cfg =
-            RunConfig::quick(WorkloadId::Pgbench, Mode::Dynamic(MigrationDesign::LiveMigration));
-        cfg.os_assisted = Some(true);
-        cfg.faults = Some(sample_plan());
-        let text = canonical_json(&cfg);
-        let back = config_from_canonical(&text).unwrap();
-        assert_eq!(canonical_json(&back), text);
-        assert_eq!(back.workload, cfg.workload);
-        assert_eq!(back.mode, cfg.mode);
-        assert_eq!(back.faults, cfg.faults);
-        assert_eq!(back.os_assisted, cfg.os_assisted);
-        assert_eq!(fxhash64(text.as_bytes()), fxhash64(canonical_json(&back).as_bytes()));
-    }
-
-    #[test]
-    fn canonical_config_without_options_round_trips() {
-        let cfg = RunConfig::quick(WorkloadId::Mg, Mode::Static);
-        let text = canonical_json(&cfg);
-        assert!(!text.contains("faults"));
-        assert!(!text.contains("os_assisted"));
-        let back = config_from_canonical(&text).unwrap();
-        assert_eq!(canonical_json(&back), text);
-        assert_eq!(back.faults, None);
-    }
-
-    #[test]
-    fn parser_rejects_malformed_canonical_text() {
-        let good = canonical_json(&RunConfig::quick(WorkloadId::Ft, Mode::Static));
-        for (mutation, why) in [
-            (good.replace("\"seed\"", "\"sede\""), "unknown field"),
-            (good.replace("\"ft\"", "\"nope\""), "unknown workload"),
-            (good.replace("\"static\"", "\"turbo\""), "unknown mode"),
-            (good.replace("\"frfcfs\"", "\"elevator\""), "unknown policy"),
-            ("[]".to_string(), "must be a JSON object"),
-            ("{\"workload\":\"ft\"}".to_string(), "missing field"),
-        ] {
-            let err = config_from_canonical(&mutation).unwrap_err();
-            assert!(err.contains(why), "{mutation}: got '{err}', wanted '{why}'");
-        }
-    }
-
-    #[test]
-    fn trace_canonical_round_trips_and_normalises_synthetic_knobs() {
+    fn trace_canonical_normalises_synthetic_knobs() {
         let t = TraceRef {
             hash: 0x0123456789abcdef,
             records: 5_000,
@@ -457,9 +306,6 @@ mod tests {
         let text = canonical_json(&cfg);
         assert!(text.starts_with(r#"{"workload":{"trace":"0123456789abcdef""#), "{text}");
         assert!(text.contains(r#""seed":0"#), "{text}");
-        let back = config_from_canonical(&text).unwrap();
-        assert_eq!(back.trace, Some(t));
-        assert_eq!(canonical_json(&back), text, "round trip is a fixed point");
 
         // Same trace, different inert knobs: identical canonical text.
         let mut other = cfg;
@@ -474,22 +320,6 @@ mod tests {
         other.trace = Some(TraceRef { hash: 1, ..t });
         other_text = canonical_json(&other);
         assert_ne!(other_text, text);
-    }
-
-    #[test]
-    fn trace_object_rejects_malformed_forms() {
-        for (body, why) in [
-            (r#"{"trace":"xyz","records":1,"ticks":1,"max_line":1}"#, "invalid trace id"),
-            (r#"{"trace":"0123456789abcdef","records":1,"ticks":1}"#, "missing field 'max_line'"),
-            (r#"{"trace":"0123456789abcdef","records":0,"ticks":1,"max_line":1}"#, "at least 1"),
-            (
-                r#"{"trace":"0123456789abcdef","records":1,"ticks":1,"max_line":1,"x":1}"#,
-                "unknown trace field",
-            ),
-        ] {
-            let err = trace_ref_from_json(&jsonin::parse(body).unwrap()).unwrap_err();
-            assert!(err.contains(why), "{body}: got '{err}', wanted '{why}'");
-        }
     }
 
     #[test]

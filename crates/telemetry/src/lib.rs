@@ -11,9 +11,8 @@
 //!    constant `false`, so a controller built without telemetry compiles
 //!    to the same demand path as before the subsystem existed.
 //! 2. **Bounded memory.** The concrete [`Recorder`] counts everything but
-//!    stores the event timeline in fixed-capacity, overwrite-oldest ring
-//!    buffers ([`EventRing`]), sharded so parallel experiment grids record
-//!    without lock contention.
+//!    stores the event timeline in a fixed-capacity, overwrite-oldest ring
+//!    buffer ([`EventRing`]).
 //! 3. **Machine-readable export.** Event streams render to JSONL
 //!    ([`export::write_jsonl`]), Chrome `trace_event` documents viewable
 //!    in Perfetto ([`export::write_chrome_trace`]) and a per-epoch CSV

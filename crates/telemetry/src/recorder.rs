@@ -1,8 +1,7 @@
-//! The concrete recording sink: sharded counters + bounded event rings.
+//! The concrete recording sink: exact counters + one bounded event ring.
 
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hmm_sim_base::{FxHashMap, Histogram, RunningMean};
 
@@ -20,7 +19,7 @@ pub enum TelemetryLevel {
     /// Count events and feed the latency histogram, but store no event
     /// records — constant memory, suitable for full-length runs.
     Counters,
-    /// Counters plus the event timeline in bounded ring buffers.
+    /// Counters plus the event timeline in a bounded ring buffer.
     Full,
 }
 
@@ -61,7 +60,7 @@ pub struct KeyedCounters {
     /// Packed key → dense slot index.
     index: FxHashMap<u64, u32>,
     /// `(packed key, count)` in first-seen order; the key rides along so
-    /// reads and merges never consult the map.
+    /// reads never consult the map.
     slots: Vec<(u64, u64)>,
 }
 
@@ -101,19 +100,11 @@ impl KeyedCounters {
     }
 
     /// `(key, count)` pairs sorted by key — the deterministic order
-    /// exporters and tests want, independent of first-seen order (which
-    /// differs between sharded and single-threaded runs).
+    /// exporters and tests want, independent of first-seen order.
     pub fn sorted(&self) -> Vec<(u64, u64)> {
         let mut out = self.slots.clone();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
-    }
-
-    /// Fold another family into this one.
-    pub fn merge(&mut self, other: &KeyedCounters) {
-        for &(key, count) in &other.slots {
-            self.add(key, count);
-        }
     }
 }
 
@@ -200,20 +191,6 @@ impl Counters {
             _ => {}
         }
     }
-
-    /// Fold another counter set into this one (same convention as
-    /// `RunningMean::merge`).
-    pub fn merge(&mut self, other: &Counters) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.demand_latency.merge(&other.demand_latency);
-        self.latency_hist.merge(&other.latency_hist);
-        self.queuing_hist.merge(&other.queuing_hist);
-        self.demand_classes.merge(&other.demand_classes);
-        self.bank_accesses.merge(&other.bank_accesses);
-        self.bank_writes.merge(&other.bank_writes);
-    }
 }
 
 /// Recorder construction parameters.
@@ -221,17 +198,13 @@ impl Counters {
 pub struct RecorderConfig {
     /// Capture level.
     pub level: TelemetryLevel,
-    /// Total event capacity across all shards (only used at `Full`).
+    /// Event ring capacity (only used at `Full`).
     pub capacity: usize,
-    /// Number of independent shards. Threads are assigned round-robin on
-    /// first emit, so a rayon-style worker pool spreads across shards and
-    /// never serialises on one lock.
-    pub shards: usize,
 }
 
 impl Default for RecorderConfig {
     fn default() -> Self {
-        Self { level: TelemetryLevel::Counters, capacity: 1 << 20, shards: 8 }
+        Self { level: TelemetryLevel::Counters, capacity: 1 << 20 }
     }
 }
 
@@ -242,140 +215,94 @@ impl RecorderConfig {
     }
 }
 
-struct Shard {
+struct State {
     ring: EventRing,
     counters: Counters,
 }
 
-struct Inner {
-    level: TelemetryLevel,
-    shards: Box<[Mutex<Shard>]>,
-    next_shard: AtomicUsize,
-}
-
-thread_local! {
-    /// Cached shard index for this thread, keyed by recorder identity so
-    /// two recorders in one process don't alias each other's assignment.
-    static SHARD_CACHE: std::cell::Cell<(usize, usize)> =
-        const { std::cell::Cell::new((0, usize::MAX)) };
-}
-
-/// The concrete [`TelemetrySink`]: cheap-to-clone handle over sharded,
-/// mutex-protected counter/ring state.
+/// The concrete [`TelemetrySink`]: cheap-to-clone handle over one
+/// mutex-protected counter set and event ring.
 ///
-/// Each emitting thread is pinned to one shard (round-robin at first emit),
-/// so under a parallel experiment grid every worker takes an uncontended
-/// lock. Clones share the same underlying state; pass clones to the
+/// Clones share the same underlying state; pass clones to the
 /// controller and both DRAM regions.
 #[derive(Clone)]
 pub struct Recorder {
-    inner: Arc<Inner>,
+    level: TelemetryLevel,
+    state: Arc<Mutex<State>>,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder")
-            .field("level", &self.inner.level)
-            .field("shards", &self.inner.shards.len())
-            .finish()
+        f.debug_struct("Recorder").field("level", &self.level).finish_non_exhaustive()
     }
 }
 
 impl Recorder {
     /// Build a recorder from a config.
     pub fn new(cfg: RecorderConfig) -> Self {
-        let shards = cfg.shards.max(1);
-        let per_shard = cfg.capacity.div_ceil(shards).max(1);
-        let shards: Box<[Mutex<Shard>]> = (0..shards)
-            .map(|_| {
-                Mutex::new(Shard { ring: EventRing::new(per_shard), counters: Counters::default() })
-            })
-            .collect();
-        Self {
-            inner: Arc::new(Inner { level: cfg.level, shards, next_shard: AtomicUsize::new(0) }),
-        }
+        let state = State { ring: EventRing::new(cfg.capacity), counters: Counters::default() };
+        Self { level: cfg.level, state: Arc::new(Mutex::new(state)) }
     }
 
-    /// Recorder at a level with default capacity/sharding.
+    /// Recorder at a level with default capacity.
     pub fn with_level(level: TelemetryLevel) -> Self {
         Self::new(RecorderConfig::with_level(level))
     }
 
     /// The capture level this recorder was built with.
     pub fn level(&self) -> TelemetryLevel {
-        self.inner.level
+        self.level
     }
 
-    fn shard_index(&self) -> usize {
-        let key = Arc::as_ptr(&self.inner) as usize;
-        SHARD_CACHE.with(|c| {
-            let (cached_key, cached_idx) = c.get();
-            if cached_key == key && cached_idx != usize::MAX {
-                cached_idx
-            } else {
-                let idx =
-                    self.inner.next_shard.fetch_add(1, Ordering::Relaxed) % self.inner.shards.len();
-                c.set((key, idx));
-                idx
-            }
-        })
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("an emitting thread panicked while recording")
     }
 
-    /// Merged per-kind counters across all shards.
+    /// The per-kind counters so far.
     pub fn counters(&self) -> Counters {
-        let mut out = Counters::default();
-        for shard in self.inner.shards.iter() {
-            out.merge(&shard.lock().unwrap().counters);
-        }
-        out
+        self.state().counters.clone()
     }
 
-    /// All recorded events, merged across shards and sorted by cycle
-    /// (stable, so same-cycle events keep shard-local order).
+    /// All recorded events, sorted by cycle (stable, so same-cycle
+    /// events keep their emission order).
     pub fn events(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        for shard in self.inner.shards.iter() {
-            let guard = shard.lock().unwrap();
-            out.extend(guard.ring.iter().copied());
-        }
+        let mut out: Vec<Event> = self.state().ring.iter().copied().collect();
         out.sort_by_key(|e| e.cycle());
         out
     }
 
-    /// Events evicted from rings because capacity was exceeded.
+    /// Events evicted from the ring because capacity was exceeded.
     pub fn dropped(&self) -> u64 {
-        self.inner.shards.iter().map(|s| s.lock().unwrap().ring.dropped()).sum()
+        self.state().ring.dropped()
     }
 }
 
 impl TelemetrySink for Recorder {
     #[inline]
     fn enabled(&self, _kind: EventKind) -> bool {
-        self.inner.level != TelemetryLevel::Off
+        self.level != TelemetryLevel::Off
     }
 
     fn emit(&self, event: Event) {
-        let store = self.inner.level == TelemetryLevel::Full;
-        let idx = self.shard_index();
-        let mut shard = self.inner.shards[idx].lock().unwrap();
-        shard.counters.record(&event);
+        let store = self.level == TelemetryLevel::Full;
+        let mut state = self.state();
+        state.counters.record(&event);
         if store {
-            shard.ring.push(event);
+            state.ring.push(event);
         }
     }
 
-    /// One shard lock for the whole batch instead of one per event.
+    /// One lock for the whole batch instead of one per event.
     fn emit_batch(&self, events: &mut Vec<Event>) {
         if events.is_empty() {
             return;
         }
-        let store = self.inner.level == TelemetryLevel::Full;
-        let idx = self.shard_index();
-        let mut shard = self.inner.shards[idx].lock().unwrap();
+        let store = self.level == TelemetryLevel::Full;
+        let mut state = self.state();
         for event in events.drain(..) {
-            shard.counters.record(&event);
+            state.counters.record(&event);
             if store {
-                shard.ring.push(event);
+                state.ring.push(event);
             }
         }
     }
@@ -422,8 +349,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_storage_and_counts_drops() {
-        let rec =
-            Recorder::new(RecorderConfig { level: TelemetryLevel::Full, capacity: 8, shards: 1 });
+        let rec = Recorder::new(RecorderConfig { level: TelemetryLevel::Full, capacity: 8 });
         for c in 0..20 {
             rec.emit(demand(c, 5));
         }
@@ -508,14 +434,12 @@ mod tests {
     }
 
     #[test]
-    fn keyed_families_merge_and_sort_deterministically() {
+    fn keyed_families_sort_deterministically() {
         let mut a = KeyedCounters::default();
-        let mut b = KeyedCounters::default();
         a.add(5, 2);
         a.add(1, 1);
-        b.add(1, 10);
-        b.add(9, 4);
-        a.merge(&b);
+        a.add(1, 10);
+        a.add(9, 4);
         assert_eq!(a.sorted(), vec![(1, 11), (5, 2), (9, 4)]);
         assert_eq!(a.total(), 17);
         assert_eq!(a.len(), 3);
@@ -525,11 +449,7 @@ mod tests {
 
     #[test]
     fn parallel_emitters_do_not_lose_counts() {
-        let rec = Recorder::new(RecorderConfig {
-            level: TelemetryLevel::Full,
-            capacity: 1 << 16,
-            shards: 4,
-        });
+        let rec = Recorder::new(RecorderConfig { level: TelemetryLevel::Full, capacity: 1 << 16 });
         std::thread::scope(|s| {
             for t in 0..8 {
                 let rec = rec.clone();

@@ -109,11 +109,6 @@ impl FrameHub {
         self.wake.notify_all();
     }
 
-    /// Whether `close` has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
-
     /// Frames evicted before any subscriber read them, over the hub's
     /// lifetime (an upper bound on what any one subscriber lost).
     pub fn evicted(&self) -> u64 {

@@ -40,7 +40,8 @@ fn trace_replay_matches_live_generation() {
             ctrl.advance(rec.tick);
         }
         ctrl.flush();
-        let done = ctrl.drain();
+        let mut done = Vec::new();
+        ctrl.drain_completed_into(&mut done);
         let on = done.iter().filter(|c| c.on_package).count();
         (done.len(), on, ctrl.swap_stats().unwrap().completed)
     };

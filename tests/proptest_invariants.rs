@@ -277,7 +277,8 @@ fn fault_schedules_preserve_invariants() {
             ctrl.advance(now);
         }
         ctrl.flush();
-        let done = ctrl.drain();
+        let mut done = Vec::new();
+        ctrl.drain_completed_into(&mut done);
         assert_eq!(done.len(), accesses, "case {case} ({design:?}): accesses lost under faults");
         ctrl.table()
             .validate(design.sacrifices_slot())

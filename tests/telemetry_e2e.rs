@@ -18,7 +18,7 @@ fn quick_cfg() -> RunConfig {
 fn full_recorder() -> Recorder {
     // Generous ring so nothing is dropped: reconciliation below must be
     // exact, not approximate.
-    Recorder::new(RecorderConfig { level: TelemetryLevel::Full, capacity: 4 << 20, shards: 4 })
+    Recorder::new(RecorderConfig { level: TelemetryLevel::Full, capacity: 4 << 20 })
 }
 
 #[test]
