@@ -47,6 +47,12 @@ fn hmm_sim_rejects_invalid_input_with_one_line() {
         &run(bin, &with(&base, &["--accesses", "1000", "--warmup", "1000"])),
         "must be smaller",
     );
+    // 2^53 + 1 would read as 2^53 through the JSON reader: refused, not
+    // rounded into another configuration's seed.
+    assert_one_line_exit2(
+        &run(bin, &with(&base, &["--seed", "9007199254740993"])),
+        "'seed' must be below 2^53",
+    );
 }
 
 /// hmm-sim resolves its flags through the server's `parse_body`, so a

@@ -13,7 +13,10 @@
 //!
 //! Functionally it is a 15-way write-back cache; this module wraps
 //! [`SetAssocCache`] with that geometry and the sequential-access latency
-//! model.
+//! model. The simulator's own tag store mirrors the paper's: a set's 15
+//! tag words and its recency ranks fill one 128-byte block (two host
+//! cache lines), 8 MiB at the benchmark's 1/8 scale (a 64 MB array) and
+//! 64 MiB at Table III's 512 MB.
 
 use crate::set_assoc::{AccessOutcome, CacheConfig, CacheStats, SetAssocCache, Victim};
 use hmm_sim_base::addr::LineAddr;
@@ -200,6 +203,20 @@ mod tests {
         // Re-fill to make sure the dirty line is gone and was reported.
         // (It was evicted during the loop above.)
         assert!(c.stats().writebacks >= 1);
+    }
+
+    /// At 1/8 scale (a 64 MB array) the tag store is 65,536 blocks of
+    /// 16 words — 15 tags and the recency ranks, 8.5 bytes a way — and
+    /// starts on a 64-byte boundary, so each set fills two host lines.
+    #[test]
+    fn one_eighth_scale_store_is_65536_blocks_of_16_words() {
+        let cfg = DramCacheConfig { array_bytes: 64 << 20, line_bytes: 64 };
+        assert_eq!(cfg.sets(), 65_536);
+        let c = DramCache::new(cfg, &LatencyConfig::default());
+        let blocks = c.inner.blocks();
+        assert_eq!(blocks.len(), 65_536 * 16);
+        assert_eq!(std::mem::size_of_val(blocks), 8 << 20);
+        assert_eq!(blocks.as_ptr() as usize % 64, 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! That comparison needs:
 //!
 //! * [`set_assoc`] — a generic set-associative LRU cache,
-//!   write-back/write-allocate, at 16 bytes of tag store per way.
+//!   write-back/write-allocate, of up to 16 ways: each set is one block
+//!   of tag words and a word of 4-bit recency ranks, 8.5 bytes a way.
 //! * [`hierarchy`] — the paper's SRAM hierarchy: private 32 KB L1 and
 //!   256 KB L2 per core, shared inclusive 8 MB 16-way L3 (Table II), with
 //!   back-invalidation on L3 evictions.

@@ -239,6 +239,11 @@ enum L4Slot {
     Background,
 }
 
+/// Tag of the L4 scheme's snapshot section. The tag store is saved as
+/// its block words (tags, then each set's recency ranks), so a section
+/// written with per-way LRU stamps (`l4ch`) is refused by name.
+const L4_SECTION: &[u8; 4] = b"l4c2";
+
 /// The DRAM-L4-cache baseline: the on-package array holds a tags-in-DRAM
 /// 15-way set-associative cache of the flat off-package space (Section I's
 /// "implements a 15-way set associative cache in the space of a 16-way
@@ -496,7 +501,7 @@ impl<S: TelemetrySink + Clone + Send> PlacementScheme for L4CacheScheme<S> {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.section(b"l4ch");
+        w.section(L4_SECTION);
         self.l4.save_state(w);
         w.u64(self.next_id);
         w.u64(self.meta_base);
@@ -538,7 +543,7 @@ impl<S: TelemetrySink + Clone + Send> PlacementScheme for L4CacheScheme<S> {
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
-        r.section(b"l4ch")?;
+        r.section(L4_SECTION)?;
         self.l4.load_state(r)?;
         self.next_id = r.u64()?;
         self.meta_base = r.u64()?;

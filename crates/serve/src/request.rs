@@ -42,7 +42,7 @@ use hmm_core::{validate_scheme, MigrationPolicy, Mode, SchemeId};
 use hmm_fault::FaultPlan;
 use hmm_sim_base::config::{parse_size, SimScale};
 use hmm_simulator::driver::{RunConfig, TraceRef};
-use hmm_simulator::wire;
+use hmm_simulator::wire::{self, field_u64};
 use hmm_telemetry::jsonin::{self, Json};
 use hmm_workloads::{replay, WorkloadId};
 
@@ -76,14 +76,6 @@ pub struct SimRequest {
     pub key: u64,
     /// Per-request override of the server's synchronous wait deadline.
     pub timeout_ms: Option<u64>,
-}
-
-fn field_u64(v: &Json, name: &str) -> Result<u64, String> {
-    let n = v.as_f64().ok_or_else(|| format!("field '{name}' must be a number"))?;
-    if n.fract() != 0.0 || !(0.0..=(u64::MAX as f64)).contains(&n) {
-        return Err(format!("field '{name}' must be a non-negative integer, got {n}"));
-    }
-    Ok(n as u64)
 }
 
 /// Sizes may be spelled as JSON numbers (bytes) or strings (`"64K"`).
@@ -475,6 +467,14 @@ mod tests {
             (r#"{"workload":"pgbench","mode":"live","page":"nope"}"#, "invalid size"),
             (r#"{"workload":"pgbench","mode":"live","accesses":0}"#, "at least 1"),
             (r#"{"workload":"pgbench","mode":"live","seed":1.5}"#, "non-negative integer"),
+            (
+                r#"{"workload":"pgbench","mode":"live","seed":9007199254740992}"#,
+                "'seed' must be below 2^53",
+            ),
+            (
+                r#"{"workload":"pgbench","mode":"live","seed":9007199254740993}"#,
+                "'seed' must be below 2^53",
+            ),
             (r#"{"workload":"pgbench","mode":"live","warmup":400000}"#, "must be smaller"),
             (r#"{"workload":"pgbench","mode":"live","fault_seed":1}"#, "requires 'faults'"),
             (r#"{"workload":"pgbench","mode":"live","faults":"bogus=1"}"#, "faults:"),
@@ -492,6 +492,14 @@ mod tests {
             let err = parse_body(body, &Limits::default()).unwrap_err();
             assert!(err.contains(want), "{body}: got '{err}', wanted '{want}'");
         }
+        // 2^53 - 1 is the largest integer a JSON number holds exactly.
+        let top = parse_body(
+            r#"{"workload":"pgbench","mode":"live","seed":9007199254740991}"#,
+            &Limits::default(),
+        )
+        .unwrap();
+        assert_eq!(top.cfg.seed, 9_007_199_254_740_991);
+        assert!(top.canonical.contains(r#""seed":9007199254740991"#), "{}", top.canonical);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! quarantined rather than served, (c) a job killed mid-simulation
 //! resumes from its last checkpoint and still produces the exact bytes
 //! an uninterrupted run produces, and (d) a checkpoint in a snapshot
-//! format this build no longer reads restarts its job from scratch,
+//! format this build no longer reads, or whose L4 section holds an
+//! encoding this build no longer reads, restarts its job from scratch,
 //! with the same bytes.
 
 #![cfg(unix)]
 
 use hmm_serve::client::request;
-use hmm_serve::request::{parse_body, Limits};
+use hmm_serve::request::{parse_body, Limits, SimRequest};
 use hmm_serve::response::render_run;
 use hmm_serve::{ServerMetrics, Store};
 use hmm_sim_base::snap::snap_hash;
@@ -213,6 +214,22 @@ fn sigkill_mid_job_resumes_from_checkpoint_bit_identically() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The first snapshot of `sim`'s run at a 5,000-access cadence, with
+/// `edit` applied and the trailing checksum resealed, so the container
+/// is whole and only the edit tells it apart.
+fn edited_first_snapshot(sim: &SimRequest, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut snaps = Vec::new();
+    let mut sink = |_submitted: u64, bytes: Vec<u8>| snaps.push(bytes);
+    run_resumable(&sim.cfg, SnapshotCtl { resume_from: None, every: 5_000, sink: Some(&mut sink) })
+        .expect("capture run");
+    let mut snap = snaps.swap_remove(0);
+    edit(&mut snap);
+    let end = snap.len() - 8;
+    let sum = snap_hash(&snap[..end]);
+    snap[end..].copy_from_slice(&sum.to_le_bytes());
+    snap
+}
+
 #[test]
 fn format_1_checkpoint_restarts_fresh_with_identical_bytes() {
     let body = r#"{"workload":"pgbench","mode":"live","accesses":20000,"scale":64}"#;
@@ -221,17 +238,8 @@ fn format_1_checkpoint_restarts_fresh_with_identical_bytes() {
 
     // What an older build leaves on the shelf: this run's first snapshot
     // in a format-1 container (format 1 also carried the warm-up
-    // completions). Restamp the u32 after the 8-byte magic and reseal
-    // the trailing checksum, so only the format tells it apart.
-    let mut snaps = Vec::new();
-    let mut sink = |_submitted: u64, bytes: Vec<u8>| snaps.push(bytes);
-    run_resumable(&sim.cfg, SnapshotCtl { resume_from: None, every: 5_000, sink: Some(&mut sink) })
-        .expect("capture run");
-    let mut old = snaps.swap_remove(0);
-    old[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let end = old.len() - 8;
-    let sum = snap_hash(&old[..end]);
-    old[end..].copy_from_slice(&sum.to_le_bytes());
+    // completions). Restamp the u32 after the 8-byte magic.
+    let old = edited_first_snapshot(&sim, |snap| snap[8..12].copy_from_slice(&1u32.to_le_bytes()));
 
     let dir = tmpdir("format1");
     Store::open(&dir, 0).expect("open store").write_checkpoint(
@@ -260,4 +268,52 @@ fn format_1_checkpoint_restarts_fresh_with_identical_bytes() {
     assert_eq!(resp.body, reference, "a fresh restart must match the uninterrupted run exactly");
     assert_eq!(resumed, 0.0, "a format-1 snapshot must not resume");
     assert_eq!(left, 0, "the refused checkpoint must be gone once the job has finished");
+}
+
+#[test]
+fn stamp_encoded_l4_checkpoint_restarts_fresh_while_hetero_resumes() {
+    let l4_body =
+        r#"{"workload":"pgbench","mode":"off","scheme":"l4cache","accesses":20000,"scale":64}"#;
+    let het_body = r#"{"workload":"mg","mode":"live","accesses":20000,"scale":64}"#;
+    let l4 = parse_body(l4_body, &Limits::default()).expect("l4cache parse");
+    let het = parse_body(het_body, &Limits::default()).expect("hetero parse");
+    let l4_reference = render_run(&l4.canonical, &run(&l4.cfg));
+    let het_reference = render_run(&het.canonical, &run(&het.cfg));
+
+    // An older build's l4cache checkpoint: its L4 section is tagged
+    // `l4ch` (per-way LRU stamps) in a container of this build's format.
+    // The hetero checkpoint is this build's own, and must still resume.
+    let l4_old = edited_first_snapshot(&l4, |snap| {
+        let at = snap.windows(4).position(|w| w == b"l4c2").expect("an L4 section");
+        snap[at..at + 4].copy_from_slice(b"l4ch");
+    });
+    let het_current = edited_first_snapshot(&het, |_| {});
+
+    let dir = tmpdir("l4stamps");
+    let store = Store::open(&dir, 0).expect("open store");
+    let metrics = ServerMetrics::default();
+    store.write_checkpoint(l4.key, &l4.canonical, &l4_old, &metrics);
+    store.write_checkpoint(het.key, &het.canonical, &het_current, &metrics);
+    drop(store);
+    let checkpoints = dir.join("checkpoints");
+    assert_eq!(fs::read_dir(&checkpoints).unwrap().count(), 2);
+
+    let flags =
+        ["--store-dir", dir.to_str().unwrap(), "--snapshot-every", "5000", "--workers", "1"];
+    // Everything is read before the asserts, so a failing one does not
+    // leave the server running.
+    let (child, addr) = spawn_server(&flags);
+    let l4_resp = request(addr, "POST", "/v1/simulate", l4_body, TIMEOUT).expect("simulate l4");
+    let het_resp = request(addr, "POST", "/v1/simulate", het_body, TIMEOUT).expect("simulate het");
+    let resumed = metric(addr, "resumed_jobs");
+    let left = fs::read_dir(&checkpoints).unwrap().count();
+    graceful_exit(child, addr);
+    let _ = fs::remove_dir_all(&dir);
+
+    assert_eq!(l4_resp.status, 200, "{}", l4_resp.body);
+    assert_eq!(het_resp.status, 200, "{}", het_resp.body);
+    assert_eq!(l4_resp.body, l4_reference, "a fresh restart must match the uninterrupted run");
+    assert_eq!(het_resp.body, het_reference, "a resumed run must match the uninterrupted run");
+    assert_eq!(resumed, 1.0, "the hetero checkpoint resumes, the stamp-encoded L4 one does not");
+    assert_eq!(left, 0, "both checkpoints must be gone once their jobs have finished");
 }

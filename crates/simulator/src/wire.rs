@@ -19,11 +19,12 @@
 //! [`fault_plan_from_json`] without a Rust compiler in the loop.
 //!
 //! One representational limit, inherited from the `jsonin` reader: JSON
-//! numbers travel as `f64`, so integers above 2^53 are not exactly
-//! representable on this wire. Every counter and knob the simulator
-//! exposes stays far below that; the ingestion layer (`hmm-serve`
-//! request parsing) already passes numbers through `f64`, so the
-//! canonical form is no lossier than the requests that feed it.
+//! numbers travel as `f64`, so integers from 2^53 on are not exactly
+//! representable on this wire (2^53 + 1 reads as 2^53). Every integer
+//! field is read through [`field_u64`], which refuses such a number
+//! instead of rounding it to a neighbour, so two requests can never
+//! alias one configuration. Every counter and knob the simulator exposes
+//! stays far below the limit.
 
 use crate::driver::{RunConfig, TraceRef};
 use hmm_core::{MigrationPolicy, SchemeId};
@@ -123,16 +124,29 @@ fn num_f64(v: &Json, name: &str) -> Result<f64, String> {
     v.as_f64().ok_or_else(|| format!("field '{name}' must be a number"))
 }
 
-fn num_u64(v: &Json, name: &str) -> Result<u64, String> {
+/// 2^53: from here on a JSON number (an `f64`) cannot tell an integer
+/// from its neighbour.
+const JSON_EXACT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// Read an integer field: a non-negative whole JSON number below 2^53,
+/// the range an `f64` holds exactly. Larger numbers are refused, not
+/// rounded, so distinct requests never alias.
+pub fn field_u64(v: &Json, name: &str) -> Result<u64, String> {
     let n = num_f64(v, name)?;
-    if n.fract() != 0.0 || !(0.0..=(u64::MAX as f64)).contains(&n) {
+    if n.fract() != 0.0 || n < 0.0 {
         return Err(format!("field '{name}' must be a non-negative integer, got {n}"));
+    }
+    if n >= JSON_EXACT_LIMIT {
+        return Err(format!(
+            "field '{name}' must be below 2^53 (9007199254740992), \
+             the largest integer a JSON number holds exactly"
+        ));
     }
     Ok(n as u64)
 }
 
 fn num_u32(v: &Json, name: &str) -> Result<u32, String> {
-    let n = num_u64(v, name)?;
+    let n = field_u64(v, name)?;
     u32::try_from(n).map_err(|_| format!("field '{name}' exceeds u32 range"))
 }
 
@@ -160,7 +174,7 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, String> {
         return Err("'faults' must be an object".into());
     };
     let mut plan = FaultPlan {
-        seed: num_u64(require(v, "seed")?, "seed")?,
+        seed: field_u64(require(v, "seed")?, "seed")?,
         flip_rate: num_f64(require(v, "flip_rate")?, "flip_rate")?,
         uflip_rate: num_f64(require(v, "uflip_rate")?, "uflip_rate")?,
         drop_rate: num_f64(require(v, "drop_rate")?, "drop_rate")?,
@@ -169,7 +183,10 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, String> {
         stuck_banks: [None; MAX_STUCK_BANKS],
         throttle: None,
         max_retries: num_u32(require(v, "max_retries")?, "max_retries")?,
-        retry_backoff_cycles: num_u64(require(v, "retry_backoff_cycles")?, "retry_backoff_cycles")?,
+        retry_backoff_cycles: field_u64(
+            require(v, "retry_backoff_cycles")?,
+            "retry_backoff_cycles",
+        )?,
         quarantine_threshold: num_u32(require(v, "quarantine_threshold")?, "quarantine_threshold")?,
         spare_slots: num_u32(require(v, "spare_slots")?, "spare_slots")?,
     };
@@ -188,8 +205,8 @@ pub fn fault_plan_from_json(v: &Json) -> Result<FaultPlan, String> {
     if let Some(t) = v.get("throttle") {
         plan.throttle = Some(ThrottleSpec {
             region: region_from_token(str_field(require(t, "region")?, "region")?)?,
-            period: num_u64(require(t, "period")?, "period")?,
-            duration: num_u64(require(t, "duration")?, "duration")?,
+            period: field_u64(require(t, "period")?, "period")?,
+            duration: field_u64(require(t, "duration")?, "duration")?,
         });
     }
     Ok(plan)

@@ -6,6 +6,8 @@
 
 use hmm_core::{MigrationDesign, MigrationPolicy, Mode, SchemeId};
 use hmm_fault::FaultPlan;
+use hmm_sim_base::config::SimScale;
+use hmm_sim_base::snap::snap_hash;
 use hmm_simulator::driver::{run, run_resumable, RunConfig, SnapshotCtl};
 use hmm_simulator::snapshot;
 use hmm_simulator::wire::{canonical_json, fxhash64};
@@ -136,6 +138,57 @@ fn l4cache_scheme_resumes_identically_at_every_boundary() {
     let mut cfg = small(WorkloadId::Pgbench, Mode::AllOffPackage);
     cfg.scheme = SchemeId::L4Cache;
     assert_resume_identical(&cfg, 256);
+}
+
+/// Every snapshot of `cfg`'s run captured at `every`.
+fn capture(cfg: &RunConfig, every: u64) -> Vec<Vec<u8>> {
+    let mut snaps = Vec::new();
+    let mut sink = |_: u64, bytes: Vec<u8>| snaps.push(bytes);
+    run_resumable(cfg, SnapshotCtl { resume_from: None, every, sink: Some(&mut sink) }).unwrap();
+    snaps
+}
+
+#[test]
+fn l4cache_snapshot_of_the_stamp_encoding_is_refused_by_name() {
+    // The L4 section used to hold per-way LRU stamps under the tag
+    // `l4ch`. A sealed snapshot whose section carries that tag (here a
+    // current one, retagged and resealed, so only the tag tells it
+    // apart) passes the container checks and is refused at the section.
+    let mut cfg = small(WorkloadId::Pgbench, Mode::AllOffPackage);
+    cfg.scheme = SchemeId::L4Cache;
+    let mut old = capture(&cfg, 1_000).swap_remove(0);
+    let at: Vec<usize> =
+        old.windows(4).enumerate().filter(|(_, w)| w == b"l4c2").map(|(i, _)| i).collect();
+    assert_eq!(at.len(), 1, "one L4 section tag in the snapshot");
+    old[at[0]..at[0] + 4].copy_from_slice(b"l4ch");
+    let end = old.len() - 8;
+    let sum = snap_hash(&old[..end]);
+    old[end..].copy_from_slice(&sum.to_le_bytes());
+
+    let hash = fxhash64(canonical_json(&cfg).as_bytes());
+    snapshot::open(&old, hash).expect("the container itself is whole and this run's");
+    let err = run_resumable(&cfg, SnapshotCtl { resume_from: Some(&old), every: 0, sink: None })
+        .unwrap_err();
+    assert!(err.contains("expected \"l4c2\", found \"l4ch\""), "{err}");
+}
+
+#[test]
+fn one_eighth_scale_l4cache_snapshot_is_at_most_8_5_mb() {
+    // At 1/8 scale the L4 is a 64 MB array: 65,536 sets of 15 ways, whose
+    // tag store is 65,536 blocks of 128 B (8 MiB). The snapshot is that
+    // store plus the in-flight state.
+    let cfg = RunConfig {
+        scale: SimScale { divisor: 8 },
+        page_shift: 16,
+        accesses: 4_000,
+        warmup: 500,
+        scheme: SchemeId::L4Cache,
+        ..RunConfig::paper(WorkloadId::Pgbench, Mode::AllOffPackage)
+    };
+    let snaps = capture(&cfg, 2_000);
+    assert_eq!(snaps.len(), 1);
+    let size = snaps[0].len();
+    assert!(size > 8 << 20 && size <= 8_500_000, "1/8-scale l4cache snapshot is {size} bytes");
 }
 
 #[test]

@@ -128,21 +128,24 @@ fn pow2_floor(n: u64) -> u64 {
 /// coincides with the low addresses a static mapping would capture free.
 const SCATTER_GROUP_PAGES: u64 = 64;
 
-/// Scatter a zipf rank over the page domain: consecutive ranks stay
-/// together within a [`SCATTER_GROUP_PAGES`] block, blocks are permuted
-/// with a fixed odd multiplier (a bijection on the power-of-two domain).
+/// Scatter a zipf rank over the power-of-two page domain: consecutive
+/// ranks stay together within a [`SCATTER_GROUP_PAGES`] block, blocks are
+/// permuted with a fixed odd multiplier (a bijection on the power-of-two
+/// domain). Every size is a power of two, so the split takes shifts and
+/// masks, not divisions.
 #[inline]
 fn scatter(rank: u64, domain: u64) -> u64 {
-    let g = SCATTER_GROUP_PAGES.min(domain);
-    let group = rank / g;
-    let within = rank % g;
-    let groups = (domain / g).max(1);
+    debug_assert!(domain.is_power_of_two());
+    let shift = SCATTER_GROUP_PAGES.min(domain).trailing_zeros();
+    let group = rank >> shift;
+    let within = rank & ((1 << shift) - 1);
+    let groups = domain >> shift;
     // Affine permutation on the power-of-two group space (odd multiplier,
     // odd offset) so no group — in particular not the hottest, group 0 —
     // keeps its identity position.
-    let scattered =
-        group.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x5851_F42D_4C95_7F2D) % groups;
-    scattered * g + within
+    let scattered = group.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x5851_F42D_4C95_7F2D)
+        & (groups - 1);
+    scattered << shift | within
 }
 
 /// The Zipf rank tables one workload build has made, keyed by rank count
@@ -468,6 +471,30 @@ mod tests {
         assert!(in_low < top_blocks.len(), "hot blocks must not all sit in the lowest addresses");
         let span = top_blocks.iter().max().unwrap() - top_blocks.iter().min().unwrap();
         assert!(span > 4, "blocks should be spread, span {span}");
+    }
+
+    /// The shift-and-mask `scatter` against the division form it
+    /// replaced, for every power-of-two domain 2^0..=2^40.
+    #[test]
+    fn scatter_matches_the_division_form() {
+        fn by_division(rank: u64, domain: u64) -> u64 {
+            let g = SCATTER_GROUP_PAGES.min(domain);
+            let groups = (domain / g).max(1);
+            let scattered = group_hash(rank / g) % groups;
+            scattered * g + rank % g
+        }
+        fn group_hash(group: u64) -> u64 {
+            group.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x5851_F42D_4C95_7F2D)
+        }
+        let mut r = rng();
+        for bits in 0..=40 {
+            let domain = 1u64 << bits;
+            let edges = [0, domain - 1, domain / 2, SCATTER_GROUP_PAGES.min(domain) - 1];
+            let sampled = (0..500).map(|_| r.below(domain));
+            for rank in edges.into_iter().chain(sampled) {
+                assert_eq!(scatter(rank, domain), by_division(rank, domain), "{rank} of 2^{bits}");
+            }
+        }
     }
 
     #[test]
