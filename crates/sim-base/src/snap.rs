@@ -135,6 +135,24 @@ impl SnapWriter {
         let len = (self.buf.len() - mark - 4) as u32;
         self.buf[mark..mark + 4].copy_from_slice(&len.to_le_bytes());
     }
+
+    /// Splice `other`'s bytes onto the end of this writer, leaving `other`
+    /// empty with its allocation kept for reuse (as `Vec::append` does).
+    /// A closed section carries its own length, so sections written into
+    /// `other` and appended here are byte-identical to the same calls
+    /// made on this writer, inside any section this writer has open.
+    /// Panics if `other` still has a section open.
+    pub fn append(&mut self, other: &mut SnapWriter) {
+        assert!(other.open.is_empty(), "unclosed snapshot section");
+        self.buf.append(&mut other.buf);
+    }
+
+    /// Discard everything written, open sections included, keeping the
+    /// allocations: writing the same state again allocates nothing.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.open.clear();
+    }
 }
 
 /// Bounds-checked snapshot decoder over a byte slice.
@@ -320,6 +338,72 @@ mod tests {
         assert_eq!(r.u64s().unwrap(), vec![1, 2, 3]);
         r.end_section().unwrap();
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn appended_sections_equal_the_same_calls_on_one_writer() {
+        // Nested sections, spliced in twice through one reused writer
+        // (the second time inside a section the target has open).
+        fn inner(w: &mut SnapWriter, v: u64) {
+            w.section(b"outr");
+            w.u64(v);
+            w.section(b"innr");
+            w.str("nested");
+            w.u64s(&[v, v + 1]);
+            w.end_section();
+            w.bool(true);
+            w.end_section();
+        }
+        let mut one = SnapWriter::new();
+        one.u32(9);
+        inner(&mut one, 1);
+        one.section(b"wrap");
+        inner(&mut one, 2);
+        one.end_section();
+
+        let (mut spliced, mut part) = (SnapWriter::new(), SnapWriter::new());
+        spliced.u32(9);
+        inner(&mut part, 1);
+        spliced.append(&mut part);
+        assert!(part.is_empty(), "append leaves the source empty");
+        let kept = part.buf.capacity();
+        spliced.section(b"wrap");
+        inner(&mut part, 2);
+        assert_eq!(part.buf.capacity(), kept, "the emptied source reuses its allocation");
+        spliced.append(&mut part);
+        spliced.end_section();
+
+        assert_eq!(spliced.into_bytes(), one.into_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "unclosed snapshot section")]
+    fn appending_an_open_section_panics() {
+        let mut part = SnapWriter::new();
+        part.section(b"open");
+        SnapWriter::new().append(&mut part);
+    }
+
+    #[test]
+    fn cleared_writer_rewrites_without_growing() {
+        let write = |w: &mut SnapWriter, v: u64| {
+            w.section(b"outr");
+            w.section(b"innr");
+            w.u64s(&[v, v + 1]);
+            w.end_section();
+            w.end_section();
+        };
+        let mut w = SnapWriter::new();
+        write(&mut w, 1);
+        w.section(b"left");
+        w.clear();
+        assert!(w.is_empty());
+        let kept = (w.buf.capacity(), w.open.capacity());
+        write(&mut w, 2);
+        assert_eq!((w.buf.capacity(), w.open.capacity()), kept);
+        let mut fresh = SnapWriter::new();
+        write(&mut fresh, 2);
+        assert_eq!(w.into_bytes(), fresh.into_bytes());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! One trace-driven simulation run (the Section IV methodology).
 //!
-//! The driver streams a synthetic workload trace into a
-//! [`HeteroController`](hmm_core::controller::HeteroController),
-//! advancing simulated time with each record's
+//! The driver streams a workload trace, synthetic or replayed, into the
+//! run's [`PlacementScheme`], advancing simulated time with each record's
 //! timestamp, and aggregates post-warm-up latency statistics. Statistics
 //! exclude a configurable warm-up prefix, mirroring the paper's
-//! warm-up-then-measure protocol (Table II).
+//! warm-up-then-measure protocol (Table II). The trace is generated on a
+//! producer thread, one block ahead of the thread that simulates it.
 
 use crate::snapshot;
 use crate::wire::{canonical_json, fxhash64};
@@ -22,7 +22,8 @@ use hmm_sim_base::snap::{SnapReader, SnapWriter};
 use hmm_sim_base::stats::AccessStats;
 use hmm_telemetry::{NullSink, TelemetrySink};
 use hmm_workloads::replay::{self, ReplayIter};
-use hmm_workloads::{footprint_bytes, workload, TraceSource, WorkloadId};
+use hmm_workloads::{footprint_bytes, workload, TraceRecord, TraceSource, WorkloadId};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// A recorded trace to replay instead of the synthetic generator,
 /// identified by the content hash of its `HMT1` bytes. The summary
@@ -227,10 +228,25 @@ impl RunResult {
     }
 }
 
-/// Records per trace-generation block. The value only affects generator
-/// locality, never behaviour: records are still submitted and advanced
-/// one at a time, so any block size produces the identical run.
+/// Records per trace-generation block, which is also the unit the
+/// producer thread hands to the simulating thread. The value only affects
+/// generator locality and hand-off cost, never behaviour: records are
+/// still submitted and advanced one at a time, so any block size
+/// produces the identical run.
 const TRACE_BLOCK: usize = 4096;
+
+/// Block buffers in circulation: one being simulated, one waiting in the
+/// one-deep hand-off, one being generated. They are sized before the
+/// producer starts, so neither thread allocates a block.
+const BLOCK_BUFFERS: usize = 3;
+
+/// One hand-off from the producer: a block of records and, when the block
+/// ends on a capture point of a run that captures, the trace source's
+/// state there (empty otherwise).
+struct Block {
+    records: Vec<TraceRecord>,
+    state: SnapWriter,
+}
 
 /// The shared [`ControllerConfig`] for a run: everything but the scheme
 /// choice itself (`build_scheme` swaps in the PCM `off_profile`).
@@ -325,11 +341,12 @@ impl SnapshotCtl<'_> {
 /// touches (controller, DRAM timing, migration engine, trace generator
 /// RNG and cursors, warm-up bookkeeping, undrained completions). This is
 /// the only driver loop: [`run`] and [`run_with_sink`] call it with
-/// [`SnapshotCtl::none`]. Trace records are generated in blocks aligned
-/// to snapshot boundaries; block partitioning is behaviour-invariant
-/// (proven by the block-size-invariance test in `hmm_workloads::trace`),
-/// so the alignment changes generator locality only, never the record
-/// stream.
+/// [`SnapshotCtl::none`]. Trace records are generated on a producer
+/// thread in blocks aligned to snapshot boundaries; block partitioning is
+/// behaviour-invariant (proven by the block-size-invariance test in
+/// `hmm_workloads::trace`), so neither the alignment nor the thread
+/// changes the record stream. A panic on either thread propagates to the
+/// caller.
 ///
 /// Snapshots capture at every multiple of `ctl.every` submitted accesses
 /// — including mid-migration, mid-stall, and pre-warm-up points — so any
@@ -383,34 +400,47 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
         r.finish()?;
     }
 
-    // Trace records are generated in blocks (amortising the generator's
-    // per-record draw setup and keeping generator and simulator code out
-    // of each other's instruction stream), but submitted to the
-    // controller one at a time on the exact per-record advance cadence —
-    // the controller's stall/copy interactions are cadence-sensitive, so
-    // coarsening `advance` would not be bit-identical.
-    let mut block = Vec::new();
-    let mut remaining = (cfg.accesses - submitted) as usize;
-    while remaining > 0 {
-        let mut n = remaining.min(TRACE_BLOCK);
-        if ctl.every != 0 {
-            n = n.min((ctl.every - submitted % ctl.every) as usize);
-        }
-        trace.next_block(&mut block, n);
-        remaining -= n;
-        for rec in &block {
-            let id = ctrl.access(rec.tick, rec.addr, rec.is_write);
-            submitted += 1;
-            if submitted == cfg.warmup {
-                warmup_boundary_id = Some(id);
+    // A producer thread generates the trace in blocks (amortising the
+    // generator's per-record draw setup and keeping generator and
+    // simulator code out of each other's instruction stream) while this
+    // thread submits the previous block to the controller one record at
+    // a time on the exact per-record advance cadence: the controller's
+    // stall/copy interactions are cadence-sensitive, so coarsening
+    // `advance` would not be bit-identical. The channels live inside the
+    // scope, so a panic here drops them and releases a producer waiting
+    // on either one before the scope joins it.
+    let (start, accesses, every) = (submitted, cfg.accesses, ctl.every);
+    let capture = every != 0 && ctl.sink.is_some();
+    std::thread::scope(|s| {
+        let (full_tx, full_rx) = sync_channel::<Block>(1);
+        let (free_tx, free_rx) = sync_channel::<Block>(BLOCK_BUFFERS);
+        for _ in 0..BLOCK_BUFFERS {
+            let mut block =
+                Block { records: Vec::with_capacity(TRACE_BLOCK), state: SnapWriter::new() };
+            if capture {
+                // The source's state has one size for the whole run, so
+                // writing it once here sizes the buffer the producer reuses.
+                trace.save_state(&mut block.state);
+                block.state.clear();
             }
-            ctrl.advance(rec.tick);
-            if submitted.is_multiple_of(64) {
-                record_completed(&mut *ctrl, &mut drained, warmup_boundary_id, &mut access);
-            }
+            free_tx.send(block).expect("the free list holds every buffer");
         }
-        if ctl.every != 0 && submitted.is_multiple_of(ctl.every) && remaining > 0 {
-            if let Some(sink) = ctl.sink.as_deref_mut() {
+        let producer =
+            s.spawn(move || produce(trace, start, accesses, every, capture, &free_rx, &full_tx));
+        for mut block in &full_rx {
+            for rec in &block.records {
+                let id = ctrl.access(rec.tick, rec.addr, rec.is_write);
+                submitted += 1;
+                if submitted == cfg.warmup {
+                    warmup_boundary_id = Some(id);
+                }
+                ctrl.advance(rec.tick);
+                if submitted.is_multiple_of(64) {
+                    record_completed(&mut *ctrl, &mut drained, warmup_boundary_id, &mut access);
+                }
+            }
+            if !block.state.is_empty() {
+                let sink = ctl.sink.as_deref_mut().expect("only a capturing run saves state");
                 let mut pw = SnapWriter::new();
                 pw.section(b"drvr");
                 pw.u64(submitted);
@@ -423,12 +453,17 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
                 }
                 pw.end_section();
                 access.save_state(&mut pw);
-                trace.save_state(&mut pw);
+                pw.append(&mut block.state);
                 ctrl.save_state(&mut pw);
                 sink(submitted, snapshot::seal(config_hash, submitted, &pw.into_bytes()));
             }
+            // Fails only once the producer is done; the buffer is then spare.
+            let _ = free_tx.send(block);
         }
-    }
+        if let Err(panic) = producer.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
     ctrl.flush();
     record_completed(&mut *ctrl, &mut drained, warmup_boundary_id, &mut access);
 
@@ -443,6 +478,38 @@ pub fn run_resumable_with_sink<S: TelemetrySink + Clone + Send + 'static>(
         geometry,
         wear: ctrl.wear(),
     })
+}
+
+/// The producer side of a run: generate accesses `submitted..accesses` in
+/// blocks of at most [`TRACE_BLOCK`] records, each ending on every
+/// multiple of `every` (0: no capture points), into buffers taken from
+/// `free` and handed over `full`. When `capture` is set, a block ending on
+/// a capture point before the run's end also carries the source's state
+/// there. Returns early once the simulating thread hangs up.
+fn produce(
+    mut trace: TraceSource,
+    mut submitted: u64,
+    accesses: u64,
+    every: u64,
+    capture: bool,
+    free: &Receiver<Block>,
+    full: &SyncSender<Block>,
+) {
+    while submitted < accesses {
+        let mut n = (accesses - submitted).min(TRACE_BLOCK as u64);
+        if every != 0 {
+            n = n.min(every - submitted % every);
+        }
+        let Ok(mut block) = free.recv() else { return };
+        trace.next_block(&mut block.records, n as usize);
+        submitted += n;
+        if capture && submitted.is_multiple_of(every) && submitted < accesses {
+            trace.save_state(&mut block.state);
+        }
+        if full.send(block).is_err() {
+            return;
+        }
+    }
 }
 
 /// Drain `ctrl`'s finished demand accesses through `buf` and record the

@@ -8,10 +8,11 @@ use hmm_core::{MigrationDesign, MigrationPolicy, Mode, SchemeId};
 use hmm_fault::FaultPlan;
 use hmm_sim_base::config::SimScale;
 use hmm_sim_base::snap::snap_hash;
-use hmm_simulator::driver::{run, run_resumable, RunConfig, SnapshotCtl};
+use hmm_simulator::driver::{run, run_resumable, RunConfig, SnapshotCtl, TraceRef};
 use hmm_simulator::snapshot;
 use hmm_simulator::wire::{canonical_json, fxhash64};
-use hmm_workloads::WorkloadId;
+use hmm_workloads::{replay, workload, write_binary, WorkloadId};
+use std::sync::Arc;
 
 /// Shrink a quick config further so capturing at every boundary stays
 /// fast: enough accesses to cross the warm-up boundary, several
@@ -290,4 +291,105 @@ fn snapshots_are_content_hashed_deterministically() {
     let a = capture();
     let b = capture();
     assert_eq!(a, b, "snapshot bytes must be deterministic");
+}
+
+/// `snap_hash` of every snapshot a capture run of `cfg` at `every` emits.
+fn capture_hashes(cfg: &RunConfig, every: u64) -> Vec<u64> {
+    capture(cfg, every).iter().map(|s| snap_hash(s)).collect()
+}
+
+#[test]
+fn snapshot_bytes_match_their_pinned_hashes() {
+    // Constants captured from a build that generated trace blocks inline
+    // on the controller's thread: where generation runs must not move a
+    // single byte of any checkpoint, so checkpoints keep moving freely
+    // between builds.
+    let static_256 = [
+        0xfd27f323c6957335,
+        0x8a03fa5c9bf8d700,
+        0x63e94637c0bbb154,
+        0xf4f218d58d31ab63,
+        0x4f7755065e44f0a6,
+        0xbe3e9bffcbfb99a9,
+        0x817c2b3a8e5bc8d8,
+        0x243c9d2dd69ca921,
+        0x3d74fe32559ab341,
+        0x9615874096011ca7,
+        0x0b2c7f8d186432af,
+        0x4a82e609a5a5c856,
+        0x51299a75eaa1c70b,
+        0x2c161a98099c1f96,
+        0xd2a96b371519e110,
+    ];
+    let live_500 = [
+        0x36440465a078f419,
+        0xad27a64d1902c530,
+        0x46e6c0b4dac8b4b7,
+        0x6be50400453dc85f,
+        0x9036a8c049873294,
+        0x170413bd101ea1d0,
+        0x7e323ba9f601fcab,
+    ];
+    let replay_700 = [
+        0x5ab34d39269fa9a3,
+        0xefa191241681e1a8,
+        0x36b9928e26a14ea8,
+        0x9bab378b37e62075,
+        0x2a759f6ba915ab6a,
+    ];
+    let live = Mode::Dynamic(MigrationDesign::LiveMigration);
+    assert_eq!(capture_hashes(&small(WorkloadId::Pgbench, Mode::Static), 256), static_256);
+    assert_eq!(capture_hashes(&small(WorkloadId::SpecJbb, live), 500), live_500);
+    assert_eq!(capture_hashes(&l4cache_replay(), 700), replay_700);
+}
+
+/// The l4cache scheme replaying a registered 3,000-record pgbench trace
+/// for 4,000 accesses, so the replay cursor wraps once.
+fn l4cache_replay() -> RunConfig {
+    let mut bytes = Vec::new();
+    let scale = SimScale::test_default();
+    write_binary(&mut bytes, workload(WorkloadId::Pgbench, &scale).iter(11).take(3_000)).unwrap();
+    let data = replay::decode(&bytes).unwrap();
+    let trace = TraceRef::from_summary(&data.summary);
+    replay::register(Arc::new(data));
+    RunConfig {
+        scheme: SchemeId::L4Cache,
+        trace: Some(trace),
+        ..small(WorkloadId::Pgbench, Mode::AllOffPackage)
+    }
+}
+
+#[test]
+fn a_panicking_capture_sink_unwinds_the_run_promptly() {
+    // The sink panics at the second capture, by which time the trace
+    // producer has normally filled the hand-off and waits on it: the panic
+    // must reach the caller instead of leaving either thread blocked. The
+    // run goes on a thread of its own, so a hang fails the wait below.
+    let cfg = small(WorkloadId::Pgbench, Mode::Dynamic(MigrationDesign::LiveMigration));
+    let fresh = run(&cfg);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let mut captures = 0;
+        let mut sink = |_: u64, _: Vec<u8>| {
+            captures += 1;
+            if captures == 2 {
+                panic!("sink refuses its second capture");
+            }
+        };
+        let ctl = SnapshotCtl { resume_from: None, every: 256, sink: Some(&mut sink) };
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_resumable(&cfg, ctl)));
+        let message = outcome.err().map(|p| p.downcast_ref::<&str>().map(|m| m.to_string()));
+        done_tx.send(message).unwrap();
+    });
+    let message = done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a run whose sink panicked must unwind, not hang");
+    runner.join().expect("the runner catches the run's panic");
+    assert_eq!(
+        message,
+        Some(Some("sink refuses its second capture".to_string())),
+        "the sink's own panic reaches the caller"
+    );
+    assert_eq!(run(&cfg), fresh, "a run after the unwound one is unaffected by it");
 }
